@@ -16,13 +16,24 @@ import time
 
 from .network import (GeneratorConfig, generate_synthetic, load_multiplex,
                       overlap_count, save_multiplex)
-from .pipeline import (METHOD_REASONER, RatioCertificate, SolverConfig,
+from .pipeline import (METHOD_CELF_SINGLE, METHOD_ISF, METHOD_KSN,
+                       METHOD_REASONER, RatioCertificate, SolverConfig,
                        exhaustive_optimum, run_reasoner, solve)
 from .propagation import GuardError, exact_spread
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+
+METHODS = (METHOD_REASONER, METHOD_KSN, METHOD_ISF, METHOD_CELF_SINGLE)
+# config document key -> SolverConfig field
+SOLVER_KEYS = {
+    "m": "m", "seed": "master_seed", "xi": "xi", "gamma": "gamma",
+    "kappa": "kappa", "delta": "delta", "clamp_mode": "clamp",
+    "tau": "tau", "restarts": "restarts", "refine": "refine",
+    "score_m": "score_m", "alpha": "alpha", "layer": "single_layer",
+}
+DOC_KEYS = {"method", "budget", "network", "generator", "output_dir", *SOLVER_KEYS}
 
 
 class _CliError(Exception):
@@ -38,24 +49,44 @@ def _load_config(path):
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _CliError(EXIT_USAGE, {"error": f"config is not valid JSON: {exc}"})
+    if not isinstance(doc, dict):
+        raise _CliError(EXIT_USAGE, {"error": "config must be a JSON object"})
+    return doc
 
 
 def _solver_config(doc: dict, args) -> SolverConfig:
+    """Solver knobs from the document and flags, checked before any work."""
+    unknown = sorted(set(doc) - DOC_KEYS)
+    if unknown:
+        raise _CliError(EXIT_USAGE, {"error": f"unknown config keys: {', '.join(unknown)}",
+                                     "unknown_keys": unknown})
     cfg = SolverConfig()
-    mapping = {
-        "m": "m", "seed": "master_seed", "xi": "xi", "gamma": "gamma",
-        "kappa": "kappa", "delta": "delta", "clamp_mode": "clamp",
-        "tau": "tau", "restarts": "restarts", "refine": "refine",
-        "score_m": "score_m", "alpha": "alpha", "layer": "single_layer",
-    }
-    for key, attr in mapping.items():
+    for key, attr in SOLVER_KEYS.items():
         if key in doc:
             setattr(cfg, attr, doc[key])
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, attr, flag)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, {"error": f"bad config: {exc}"})
     return cfg
+
+
+def _method_budget(doc: dict, args, default_budget: int):
+    method = args.method or doc.get("method", METHOD_REASONER)
+    if method not in METHODS:
+        raise _CliError(EXIT_USAGE, {"error": f"unknown method {method!r}; "
+                                              f"expected one of {list(METHODS)}"})
+    budget = args.budget if args.budget is not None else doc.get("budget", default_budget)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise _CliError(EXIT_USAGE, {"error": f"budget must be an integer >= 0, got {budget!r}"})
+    return method, budget
 
 
 def _resolve_network(doc: dict, args):
@@ -63,12 +94,18 @@ def _resolve_network(doc: dict, args):
     if path:
         if not os.path.exists(path):
             raise _CliError(EXIT_USAGE, {"error": f"network file not found: {path}"})
-        return load_multiplex(path)
+        try:
+            return load_multiplex(path)
+        except ValueError as exc:
+            raise _CliError(EXIT_USAGE, {"error": f"bad network file {path}: {exc}"})
     gen = doc.get("generator")
     if not gen:
         raise _CliError(EXIT_USAGE,
                         {"error": "config needs a 'network' path or 'generator' block"})
-    return generate_synthetic(_generator_config(gen))
+    try:
+        return generate_synthetic(_generator_config(gen))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _CliError(EXIT_USAGE, {"error": f"bad generator config: {exc}"})
 
 
 def _generator_config(gen: dict) -> GeneratorConfig:
@@ -122,10 +159,9 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     doc = _load_config(args.config)
-    net = _resolve_network(doc, args)
     cfg = _solver_config(doc, args)
-    method = args.method or doc.get("method", METHOD_REASONER)
-    budget = args.budget if args.budget is not None else doc.get("budget", 30)
+    method, budget = _method_budget(doc, args, 30)
+    net = _resolve_network(doc, args)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
 
@@ -170,10 +206,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = _load_config(args.config)
-    net = _resolve_network(doc, args)
     cfg = _solver_config(doc, args)
-    method = args.method or doc.get("method", METHOD_REASONER)
-    budget = args.budget if args.budget is not None else doc.get("budget", 2)
+    method, budget = _method_budget(doc, args, 2)
+    net = _resolve_network(doc, args)
 
     try:
         solution = solve(net, method, budget, cfg)
@@ -204,9 +239,9 @@ def cmd_verify(args) -> int:
 
 def cmd_inspect_pgm(args) -> int:
     doc = _load_config(args.config)
-    net = _resolve_network(doc, args)
     cfg = _solver_config(doc, args)
-    budget = args.budget if args.budget is not None else doc.get("budget", 30)
+    _, budget = _method_budget(doc, args, 30)
+    net = _resolve_network(doc, args)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
     solution = run_reasoner(net, budget, cfg)
@@ -239,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--network", help="multiplex edge-list file")
-        p.add_argument("--method", choices=["mim-reasoner", "ksn", "isf",
-                                            "celf-single"])
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--budget", type=int)
         p.add_argument("--m", type=int, help="Monte Carlo simulations")
         p.add_argument("--seed", type=int)

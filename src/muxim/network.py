@@ -134,9 +134,6 @@ class MultiplexNetwork:
     def native_overlap(self) -> set[int]:
         return set(np.flatnonzero(self.member.sum(axis=0) >= 2).tolist())
 
-    def members_of(self, layer: int) -> np.ndarray:
-        return self.member[layer]
-
     def structurally_equal(self, other: "MultiplexNetwork") -> bool:
         return canonical_text(self) == canonical_text(other)
 

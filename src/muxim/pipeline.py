@@ -25,8 +25,8 @@ from .pgm import chow_liu_fit, pearson_matrix, variable_grouping
 from .propagation import (CascadeWorlds, GuardError, SpreadEstimate,
                           estimate_spread, exact_worlds,
                           record_status_dataset)
-from .rewards import (ActivationModel, RewardContext, reward_shaped_greedy,
-                      shaped_spread, stochastic_refinement)
+from .rewards import (CLAMP_01, CLAMP_RAW, ActivationModel, RewardContext,
+                      reward_shaped_greedy, shaped_spread, stochastic_refinement)
 from .seeding import (ProfitCostTable, build_profit_cost_table,
                       candidate_scores, celf_greedy, probabilistic_greedy,
                       select_candidates)
@@ -56,6 +56,26 @@ class SolverConfig:
     phase2: bool = True
     prune_candidates: bool = True
     single_layer: int = 0
+
+    def validate(self) -> None:
+        """Raise ValueError naming the first knob outside its domain."""
+        rules = (
+            ("m", int, lambda v: v >= 1, ">= 1"),
+            ("xi", float, lambda v: 0 < v <= 1, "in (0, 1]"),
+            ("gamma", float, lambda v: v > 0, "> 0"),
+            ("kappa", int, lambda v: v >= 1, ">= 1"),
+            ("restarts", int, lambda v: v >= 1, ">= 1"),
+            ("tau", float, lambda v: v > 0, "> 0"),
+            ("delta", float, lambda v: v >= 0, ">= 0"),
+        )
+        for name, kind, ok, domain in rules:
+            value = getattr(self, name)
+            number = isinstance(value, int) if kind is int else isinstance(value, (int, float))
+            if isinstance(value, bool) or not number or not ok(value):
+                raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'} "
+                                 f"{domain}, got {value!r}")
+        if self.clamp not in (CLAMP_RAW, CLAMP_01):
+            raise ValueError(f"clamp must be {CLAMP_RAW!r} or {CLAMP_01!r}, got {self.clamp!r}")
 
 
 @dataclass
@@ -349,7 +369,7 @@ def run_celf_single(net: MultiplexNetwork, budget: int,
 def _celf_full(net, budget, nodes, worlds):
     """Lazy greedy against the full-multiplex spread."""
     base = worlds.baseline([], layers=None)
-    heap = [(-base.gain(v), v, 0) for v in nodes]
+    heap = [(-g, v, 0) for g, v in zip(base.gains(nodes).tolist(), nodes)]
     heapq.heapify(heap)
     picks, step = [], 0
     while heap and len(picks) < budget:

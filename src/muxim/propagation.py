@@ -6,8 +6,17 @@ activate when their active in-weight reaches the threshold), and between
 rounds newly activated identities are copied to every layer they belong to.
 All randomness is pre-sampled per simulation from a counter-based Philox
 stream keyed by the master seed, so results are reproducible regardless of
-execution order and many simulations can run as one batched matrix
-computation.
+execution order and many simulations can run as one batch.
+
+A batch holds one boolean state row per simulation, but a round touches only
+its frontier, a flat array of `row * n + node` keys.  IC layers expand it
+through a per-world CSR of the live out-edges, a fixed live-edge snapshot as
+in StaticGreedy (Cheng et al., CIKM 2013) and PMC (Ohsaka et al., AAAI 2014);
+LT layers expand it through a per-layer source CSR and add the in-weight per
+key; keys already active are dropped.  Work thus follows the edges leaving
+newly activated nodes.  Rows need not be distinct worlds: `_Baseline.gains`
+closes one row per (candidate, world) pair, so a whole candidate scan costs a
+few engine calls.
 """
 
 from __future__ import annotations
@@ -72,23 +81,19 @@ class StatusDataset:
         np.savetxt(path, self.rows, fmt="%d", delimiter=",", header=header, comments="")
 
 
-class _LayerPrep:
-    """Per-layer arrays laid out for batched rounds (edges grouped by target)."""
+# Byte budget of the baseline state _Baseline.gains copies per engine call:
+# n active flags plus n float64 in-weights per LT layer for each (candidate,
+# world) row.  The frontier arrays grow with the rows too, so the budget
+# bounds a call's memory; larger chunks run faster but raise peak memory.
+GAIN_CHUNK_BYTES = 1 << 19
 
-    def __init__(self, layer, num_nodes):
-        self.model = layer.model
-        e = layer.edges
-        self.has_edges = bool(e.size)
-        if not self.has_edges:
-            return
-        vals = layer.probs if layer.model == IC else layer.weights
-        order = np.lexsort((e[:, 0], e[:, 1]))  # group by dst, then src
-        self.src = e[order, 0]
-        self.dst = e[order, 1]
-        self.vals = vals[order]
-        self.dst_unique, self.dst_starts = np.unique(self.dst, return_index=True)
-        # column order used when pre-sampling coins: canonical (src, dst)
-        self.sample_to_dst_order = order
+
+def _expand(indptr, at):
+    """Concatenated CSR rows `at`: (index into `at`, CSR entry) per edge."""
+    start = indptr[at]
+    cnt = indptr[at + 1] - start
+    slot = np.arange(at.size).repeat(cnt)
+    return slot, (start - cnt.cumsum() + cnt)[slot] + np.arange(slot.size)
 
 
 class CascadeWorlds:
@@ -109,23 +114,20 @@ class CascadeWorlds:
         self.record_rounds = record_rounds
         self.weights = None  # uniform; exact enumerations set world probabilities
         n = net.num_nodes
-        self._prep = [_LayerPrep(layer, n) for layer in net.layers]
         rng = np.random.Generator(np.random.Philox(key=self.master_seed % (2 ** 64)))
-        self._live: dict[int, np.ndarray] = {}
+        self._live: dict[int, np.ndarray] = {}  # (m, E) in the layer's edge order
         self._theta: dict[int, np.ndarray] = {}
+        self._adj: dict[tuple, tuple] = {}  # per layer scope, see _adjacency
         for i, layer in enumerate(net.layers):
-            prep = self._prep[i]
             if layer.model == IC:
-                if prep.has_edges:
+                if layer.num_edges:
                     coins = rng.random((self.m, layer.num_edges))
-                    live = coins < layer.probs[None, :]
-                    self._live[i] = live[:, prep.sample_to_dst_order]
+                    self._live[i] = coins < layer.probs[None, :]
+            elif layer.thresholds is not None:
+                self._theta[i] = layer.thresholds[None, :]
             else:
-                if layer.thresholds is not None:
-                    self._theta[i] = layer.thresholds[None, :]
-                else:
-                    lo, hi = LT_THRESHOLD_RANGE
-                    self._theta[i] = lo + (hi - lo) * rng.random((self.m, n))
+                lo, hi = LT_THRESHOLD_RANGE
+                self._theta[i] = lo + (hi - lo) * rng.random((self.m, n))
 
     @classmethod
     def from_live_matrix(cls, net, live_by_layer, num_worlds, weights=None):
@@ -136,15 +138,11 @@ class CascadeWorlds:
         obj.master_seed = -1
         obj.record_rounds = False
         obj.weights = weights
-        obj._prep = [_LayerPrep(layer, net.num_nodes) for layer in net.layers]
-        obj._live = {}
-        obj._theta = {}
-        for i, layer in enumerate(net.layers):
-            prep = obj._prep[i]
-            if layer.model == IC and prep.has_edges and i in live_by_layer:
-                obj._live[i] = live_by_layer[i][:, prep.sample_to_dst_order]
-            elif layer.model == LT and layer.thresholds is not None:
-                obj._theta[i] = layer.thresholds[None, :]
+        obj._live = {i: live_by_layer[i] for i, layer in enumerate(net.layers)
+                     if layer.model == IC and layer.num_edges and i in live_by_layer}
+        obj._theta = {i: layer.thresholds[None, :] for i, layer in enumerate(net.layers)
+                      if layer.model == LT and layer.thresholds is not None}
+        obj._adj = {}
         return obj
 
     # -- core closure ------------------------------------------------------
@@ -158,94 +156,124 @@ class CascadeWorlds:
                 raise ValueError(f"layer {i} out of range")
         return idx
 
-    def blank_state(self, layers=None):
-        n = self.net.num_nodes
-        active = np.zeros((self.m, n), dtype=bool)
-        acc = {i: np.zeros((self.m, n)) for i in self._scope(layers)
-               if self.net.layers[i].model == LT}
-        return active, acc
+    def _adjacency(self, scope):
+        """Out-edge CSRs of a layer scope as (ic, lt), built on first use.
 
-    def run(self, seeds, layers=None, active=None, acc=None, frontier=None,
-            rows=None):
+        `ic` merges the scope's IC layers, since their hits are identity
+        level: one CSR row per (world, source) key `w * n + src` holding
+        that world's live out-edges, a fixed live-edge snapshot, so
+        expansion costs work only along live edges.  It is None without IC
+        edges.  `lt` holds one (layer, indptr, dst, weight, theta - 1e-12)
+        per LT layer, with one CSR row per source.
+        """
+        adj = self._adj.get(scope)
+        if adj is None:
+            n = self.net.num_nodes
+            keys, dsts, lt = [], [], []
+            for i in scope:
+                layer = self.net.layers[i]
+                src, dst = layer.edges[:, 0], layer.edges[:, 1]
+                if layer.model == LT:
+                    order = np.argsort(src, kind="stable")
+                    lt.append((i, np.searchsorted(src[order], np.arange(n + 1)),
+                               dst[order], layer.weights[order], self._theta[i] - 1e-12))
+                elif layer.num_edges:
+                    world, e = np.nonzero(self._live[i])
+                    keys.append(world * n + src[e])
+                    dsts.append(dst[e])
+            ic = None
+            if keys:
+                keys = np.concatenate(keys)
+                indptr = np.zeros(self.m * n + 1, dtype=np.int64)
+                np.cumsum(np.bincount(keys, minlength=self.m * n), out=indptr[1:])
+                ic = (indptr, np.concatenate(dsts)[np.argsort(keys, kind="stable")])
+            adj = self._adj[scope] = (ic, lt)
+        return adj
+
+    def run(self, seeds, layers=None, active=None, acc=None, rows=None,
+            frontier=None):
         """Propagate to a fixpoint; returns (active, acc, rounds|None).
 
-        `active`/`acc` give a pre-existing closed state to extend (they are
-        modified in place); `seeds` are activated on top of it.  `rows`
-        restricts the batch to a subset of worlds: the state arrays then
-        have rows.size rows and the pre-sampled randomness is sliced to
-        match.
+        State row j simulates world `rows[j]` (default: row j is world j;
+        a world may repeat).  `active`/`acc` give a pre-existing closed state
+        to extend, updated in place when C-contiguous; `seeds` are activated
+        on top of it in every row.  `frontier` replaces `seeds` with flat
+        `row * n + node` start keys, so rows can start from different nodes;
+        those nodes must be inactive.
         """
         scope = self._scope(layers)
         n = self.net.num_nodes
-        nrows = self.m if rows is None else len(rows)
+        world = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.int64)
+        nrows = world.size
         if active is None:
             active = np.zeros((nrows, n), dtype=bool)
             acc = {i: np.zeros((nrows, n)) for i in scope
                    if self.net.layers[i].model == LT}
+        active = np.ascontiguousarray(active)
+        acc = {i: np.ascontiguousarray(a) for i, a in acc.items()}
+        act = active.reshape(-1)
         if frontier is None:
-            frontier = np.zeros((nrows, n), dtype=bool)
-            seeds = list(seeds)
-            if seeds:
-                if min(seeds) < 0 or max(seeds) >= n:
-                    raise ValueError("seed id outside the node universe")
-                frontier[:, seeds] = True
-            frontier &= ~active
-            active |= frontier
+            seeds = np.array(sorted(set(seeds)), dtype=np.int64)
+            if seeds.size and (seeds[0] < 0 or seeds[-1] >= n):
+                raise ValueError("seed id outside the node universe")
+            frontier = (np.arange(nrows)[:, None] * n + seeds[None, :]).reshape(-1)
+            frontier = frontier[~act[frontier]]
+        frontier = np.asarray(frontier, dtype=np.int64)
+        act[frontier] = True
         rounds = None
         if self.record_rounds:
             rounds = np.full((nrows, n), -1, dtype=np.int64)
-            rounds[frontier] = 0
-        r = 0
-        member = self.net.member
-        live = self._live
-        theta = self._theta
-        if rows is not None:
-            live = {i: self._live[i][rows] for i in scope if i in self._live}
-            theta = {i: (self._theta[i][rows] if self._theta[i].shape[0] == self.m
-                         else self._theta[i])
-                     for i in scope if i in self._theta}
-        first_round = True
-        while frontier.any():
-            r += 1
-            hits = np.zeros((nrows, n), dtype=bool)
-            for i in scope:
-                prep = self._prep[i]
-                f_layer = frontier & member[i]
-                # touch only the columns of edges leaving the frontier
-                cols = None
-                if prep.has_edges and f_layer.any():
-                    cols = np.flatnonzero(f_layer.any(axis=0)[prep.src])
-                if prep.model == LT:
-                    contributed = False
-                    if cols is not None and cols.size:
-                        fsrc = f_layer[:, prep.src[cols]]
-                        contrib = fsrc * prep.vals[cols][None, :]
-                        dsts = prep.dst[cols]  # stays dst-sorted
-                        starts = np.flatnonzero(
-                            np.concatenate(([True], dsts[1:] != dsts[:-1])))
-                        acc[i][:, dsts[starts]] += np.add.reduceat(contrib, starts, axis=1)
-                        contributed = True
-                    # the accumulator only moves on contributions, so the
-                    # threshold test can be skipped otherwise (state starts
-                    # from a fixpoint); the first round still sweeps to catch
-                    # thresholds satisfied with no input at all
-                    if contributed or first_round:
-                        reached = (acc[i] >= theta[i] - 1e-12) & member[i][None, :]
-                        hits |= reached
-                elif cols is not None and cols.size:
-                    fsrc = f_layer[:, prep.src[cols]]
-                    fired = fsrc & live[i][:, cols]
-                    dsts = prep.dst[cols]
-                    starts = np.flatnonzero(
-                        np.concatenate(([True], dsts[1:] != dsts[:-1])))
-                    grouped = np.bitwise_or.reduceat(fired, starts, axis=1)
-                    hits[:, dsts[starts]] |= grouped
-            first_round = False
-            frontier = hits & ~active
-            active |= frontier
-            if rounds is not None and frontier.any():
-                rounds[frontier] = r
+            rounds.reshape(-1)[frontier] = 0
+        self._close(scope, world, active, acc, frontier, rounds)
         return active, acc, rounds
+
+    def _close(self, scope, world, active, acc, front, rounds):
+        """Round-synchronous closure over a frontier of `row * n + node` keys.
+
+        Each round every layer expands the same frontier: IC layers along
+        the live out-edges of each key's world, LT layers by adding in-weight
+        to every out-neighbour and testing it against the threshold.  The
+        first round also sweeps every LT node, so a threshold met with no
+        input at all still fires.  Keys already active are dropped.
+        """
+        n = self.net.num_nodes
+        member = self.net.member
+        act = active.reshape(-1)
+        wkey = world * n
+        ic, lt = self._adjacency(tuple(scope))
+        r = 0
+        while front.size and (ic is not None or lt):
+            r += 1
+            row, node = np.divmod(front, n)
+            base = front - node  # row * n
+            hits = []
+            if ic is not None:
+                slot, pos = _expand(ic[0], wkey[row] + node)
+                hits.append(base[slot] + ic[1][pos])
+            for i, indptr, dst, weight, floor in lt:
+                slot, pos = _expand(indptr, node)
+                nbr = dst[pos]
+                keys = base[slot] + nbr
+                a = acc[i].reshape(-1)
+                np.add.at(a, keys, weight[pos])
+                if floor.shape[0] == 1:
+                    floor_at = floor[0][nbr]
+                else:
+                    floor_at = floor.reshape(-1)[wkey[row][slot] + nbr]
+                hits.append(keys[a[keys] >= floor_at])
+                if r == 1:
+                    floor_rows = floor if floor.shape[0] == 1 else floor[world]
+                    swept = (acc[i] >= floor_rows) & member[i][None, :] & ~active
+                    hits.append(np.flatnonzero(swept))
+            keys = np.concatenate(hits)
+            keys = keys[~act[keys]]
+            keys.sort()
+            first = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            front = keys[first]
+            act[front] = True
+            if rounds is not None:
+                rounds.reshape(-1)[front] = r
 
     # -- measurements ------------------------------------------------------
 
@@ -292,6 +320,15 @@ class _Baseline:
             return float(self.counts @ self.worlds.weights)
         return float(self.counts.mean())
 
+    def _extend(self, rows, starts):
+        """Baseline worlds `rows` re-closed with node starts[j] added to row j."""
+        n = self.worlds.net.num_nodes
+        active, acc, _ = self.worlds.run(
+            (), layers=self.layers, active=self.active[rows],
+            acc={i: a[rows] for i, a in self.acc.items()}, rows=rows,
+            frontier=np.arange(rows.size) * n + starts)
+        return active, acc
+
     def extend_rows(self, v: int):
         """Re-close only the worlds where v is new; baseline untouched.
 
@@ -301,32 +338,34 @@ class _Baseline:
         rows = np.flatnonzero(~self.active[:, v])
         if rows.size == 0:
             return rows, None, None
-        active = self.active[rows].copy()
-        acc = {i: a[rows].copy() for i, a in self.acc.items()}
-        frontier = np.zeros_like(active)
-        frontier[:, v] = True
-        active |= frontier
-        active, acc, _ = self.worlds.run(None, layers=self.layers, active=active,
-                                         acc=acc, frontier=frontier, rows=rows)
+        active, acc = self._extend(rows, np.full(rows.size, v))
         return rows, active, acc
 
-    def extend_matrix(self, v: int):
-        """Full activation matrix after adding node v (baseline untouched)."""
-        rows, sub, _ = self.extend_rows(v)
-        if rows.size == 0:
-            return self.active.copy()
-        new = self.active.copy()
-        new[rows] = sub
-        return new
+    def gains(self, nodes) -> np.ndarray:
+        """Marginal gain of adding each of `nodes` on its own.
+
+        Every (candidate, world) pair where the candidate is still inactive
+        is one engine row; rows are closed in chunks whose state fits in
+        GAIN_CHUNK_BYTES, so a whole candidate scan costs a few engine calls.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        cand, rows = np.nonzero(~self.active[:, nodes].T)
+        n = self.worlds.net.num_nodes
+        step = max(1, GAIN_CHUNK_BYTES // (n * (1 + 8 * len(self.acc))))
+        delta = np.empty(rows.size)
+        for s in range(0, rows.size, step):
+            sub = rows[s:s + step]
+            closed = self._extend(sub, nodes[cand[s:s + step]])[0].sum(axis=1)
+            delta[s:s + step] = closed - self.counts[sub]
+        if self.worlds.weights is None:  # integer deltas: any order sums exactly
+            return np.bincount(cand, weights=delta, minlength=nodes.size) / self.worlds.m
+        # one dot product per candidate, the summation order of a lone gain
+        ends = np.searchsorted(cand, np.arange(nodes.size + 1))
+        return np.array([delta[a:b] @ self.worlds.weights[rows[a:b]]
+                         for a, b in zip(ends[:-1], ends[1:])], dtype=float)
 
     def gain(self, v: int) -> float:
-        rows, sub, _ = self.extend_rows(v)
-        if rows.size == 0:
-            return 0.0
-        delta = sub.sum(axis=1) - self.counts[rows]
-        if self.worlds.weights is not None:
-            return float(delta @ self.worlds.weights[rows])
-        return float(delta.sum() / self.worlds.m)
+        return float(self.gains([v])[0])
 
     def accept(self, v: int) -> None:
         rows, sub, acc_sub = self.extend_rows(v)

@@ -84,7 +84,7 @@ def celf_greedy(net: MultiplexNetwork, layer: int, budget: int, candidates,
     if worlds is None:
         worlds = CascadeWorlds(net, m, master_seed)
     base = worlds.baseline([], layers=[layer])
-    heap = [(-base.gain(v), v, 0) for v in nodes]
+    heap = [(-g, v, 0) for g, v in zip(base.gains(nodes).tolist(), nodes)]
     heapq.heapify(heap)
     picks: list[int] = []
     step = 0
@@ -97,10 +97,6 @@ def celf_greedy(net: MultiplexNetwork, layer: int, budget: int, candidates,
         else:
             heapq.heappush(heap, (-base.gain(v), v, step))
     return picks
-
-
-def greedy_prefixes(picks: list[int]) -> list[list[int]]:
-    return [picks[:j] for j in range(len(picks) + 1)]
 
 
 def probabilistic_greedy(net: MultiplexNetwork, layer: int, budget: int,
@@ -129,7 +125,7 @@ def probabilistic_greedy(net: MultiplexNetwork, layer: int, budget: int,
         run: list[int] = []
         while len(run) < budget:
             cands = [v for v in members if v not in run]
-            gains = np.array([base.gain(v) for v in cands])
+            gains = base.gains(cands)
             positive = gains > 0
             if not positive.any():
                 break

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from muxim.cli import main
 
 
@@ -139,3 +141,65 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
     b = json.load(open(tmp_path / "s2" / "solution_ksn.json"))
     a.pop("wall_times"); b.pop("wall_times")
     assert a == b
+
+
+NEGATIVE_LT_WEIGHT = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 -0.5\n0 1 2 0.5\n"
+DUPLICATE_EDGE = "#multiplex k=1 n=3\n0 0 1 0.5\n0 0 1 0.5\n0 1 2 0.5\n"
+
+
+@pytest.mark.parametrize("doc, flags, network, code", [
+    # every key the benchmark writes is accepted
+    ({"method": "isf", "budget": 2, "m": 20, "gamma": 1.0, "refine": True,
+      "restarts": 2, "seed": 1}, [], None, 0),
+    ({}, [], NEGATIVE_LT_WEIGHT, 2),
+    ({}, [], DUPLICATE_EDGE, 2),
+    ({"gama": 0.5}, [], None, 2),
+    ({"clamp_mode": "bogus"}, [], None, 2),
+    ({}, ["--m", "0"], None, 2),
+    ({"m": "100"}, [], None, 2),
+    ({"xi": 0.0}, [], None, 2),
+    ({"xi": 1.5}, [], None, 2),
+    ({"gamma": 0}, [], None, 2),
+    ({"kappa": 0}, [], None, 2),
+    ({"restarts": 0}, [], None, 2),
+    ({"tau": 0.0}, [], None, 2),
+    ({"delta": -0.1}, [], None, 2),
+    ({"budget": -1}, [], None, 2),
+    ({"budget": "ten"}, [], None, 2),
+    ({"method": "greedy"}, [], None, 2),
+    ({"generator": {"layer_node_counts": [5]}}, [], None, 2),
+    ({}, ["--exact"], None, 3),  # 90 IC edges exceed the exact guard
+], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "unknown-key",
+        "bad-clamp", "m-zero", "m-string", "xi-zero", "xi-above-one", "gamma-zero",
+        "kappa-zero", "restarts-zero", "tau-zero", "delta-negative",
+        "budget-negative", "budget-string", "unknown-method", "bad-generator",
+        "exact-guard"])
+def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code):
+    argv = ["solve", "--config", write_config(tmp_path, **{"method": "ksn", **doc}),
+            "--outdir", str(tmp_path / "out"), *flags]
+    if network is not None:
+        path = tmp_path / "net.mux"
+        path.write_text(network)
+        argv += ["--network", str(path)]
+    assert main(argv) == code
+    out = read_json(capsys)
+    if code == 0:
+        assert os.path.exists(out["solution"])
+    else:
+        assert "error" in out
+    if code == 2:  # rejected before any work
+        assert not os.path.exists(tmp_path / "out")
+
+
+def test_solve_names_unknown_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, gama=0.5, kapa=2)
+    assert main(["solve", "--config", cfg]) == 2
+    assert read_json(capsys)["unknown_keys"] == ["gama", "kapa"]
+
+
+def test_solve_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    for text in ("{not json", "[1, 2]"):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "error" in read_json(capsys)

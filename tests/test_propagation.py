@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from muxim.network import IC, LT, GeneratorConfig, generate_synthetic
-from muxim.propagation import (GuardError, estimate_spread,
+from muxim import propagation
+from muxim.network import IC, LT, GeneratorConfig, MultiplexNetwork, generate_synthetic
+from muxim.propagation import (CascadeWorlds, GuardError, estimate_spread,
                                exact_activation_probabilities, exact_spread,
-                               per_layer_spread, record_status_dataset,
-                               simulate_once)
+                               exact_worlds, per_layer_spread,
+                               record_status_dataset, simulate_once)
 
-from conftest import (random_guarded_instance, single_layer_net,
+from conftest import (make_layer, random_guarded_instance, single_layer_net,
                       two_layer_net)
 
 
@@ -208,3 +209,146 @@ def test_status_dataset_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node_0,node_1,node_2"
     assert len(lines) == 6
+
+
+# -- engine against a test-local fixpoint closure ---------------------------
+
+def random_multiplex(rng, models, pinned, n=None, edges_per_layer=(4, 14)):
+    """Random multiplex with partial membership; pinned LT thresholds
+    include zeros, so the first-round sweep has something to fire."""
+    n = int(rng.integers(5, 12)) if n is None else n
+    layers, member = [], np.zeros((len(models), n), dtype=bool)
+    for i, model in enumerate(models):
+        nodes = np.sort(rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False))
+        member[i, nodes] = True
+        k = nodes.size
+        pairs = rng.choice(k * (k - 1), size=min(int(rng.integers(*edges_per_layer)),
+                                                 k * (k - 1)), replace=False)
+        a, b = np.divmod(pairs, k - 1)
+        b = b + (b >= a)
+        edges = np.column_stack([nodes[a], nodes[b]])
+        thresholds = None
+        if model == LT and pinned:
+            thresholds = np.where(rng.random(n) < 0.15, 0.0, rng.uniform(0.2, 0.9, n))
+        layers.append(make_layer(i, model, edges, n, probs=rng.uniform(0.2, 0.9, len(edges)),
+                                 weights=rng.uniform(0.1, 0.6, len(edges)),
+                                 thresholds=thresholds))
+        if model == LT:
+            layers[-1].normalize_lt_weights(n)
+    return MultiplexNetwork(n, layers, member)
+
+
+def reference_closure(worlds, w, seeds, layers=None):
+    """Round-synchronous closure of one world, one edge at a time.
+
+    Returns {node: activation round}.  Every round tests every LT node, so
+    a zero threshold fires once any seed is active.
+    """
+    net = worlds.net
+    scope = range(net.num_layers) if layers is None else sorted(layers)
+    rounds = {int(v): 0 for v in seeds}
+    frontier = set(rounds)
+    acc = {i: np.zeros(net.num_nodes) for i in scope if net.layers[i].model == LT}
+    r = 0
+    while frontier:
+        r += 1
+        hits = set()
+        for i in scope:
+            layer = net.layers[i]
+            for j, (s, d) in enumerate(layer.edges.tolist()):
+                if s not in frontier:
+                    continue
+                if layer.model == IC and worlds._live[i][w, j]:
+                    hits.add(d)
+                elif layer.model == LT:
+                    acc[i][d] += layer.weights[j]
+            if layer.model == LT:
+                theta = worlds._theta[i]
+                theta = theta[0] if theta.shape[0] == 1 else theta[w]
+                for u in np.flatnonzero(net.member[i] & (acc[i] >= theta - 1e-12)):
+                    hits.add(int(u))
+        frontier = hits - set(rounds)
+        rounds.update((v, r) for v in frontier)
+    return rounds
+
+
+ENGINE_CASES = [([IC], True), ([LT], True), ([LT], False), ([IC, LT], True),
+                ([LT, IC, LT], False), ([IC, IC], True)]
+
+
+@pytest.mark.parametrize("models, pinned", ENGINE_CASES)
+def test_run_matches_reference_closure(models, pinned):
+    rng = np.random.default_rng(len(models) * 10 + pinned)
+    for trial in range(6):
+        net = random_multiplex(rng, models, pinned)
+        n, m = net.num_nodes, 7
+        worlds = CascadeWorlds(net, m, trial, record_rounds=True)
+        seeds = rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()
+        for layers in [None] + [[i] for i in range(len(models))]:
+            active, _, rounds = worlds.run(seeds, layers=layers)
+            for w in range(m):
+                ref = reference_closure(worlds, w, seeds, layers)
+                assert set(np.flatnonzero(active[w]).tolist()) == set(ref)
+                assert {int(v): int(rounds[w, v]) for v in np.flatnonzero(active[w])} == ref
+            # rows: a subset of worlds, in any order and with repeats
+            rows = rng.choice(m, size=5)
+            sub, _, sub_rounds = worlds.run(seeds, layers=layers, rows=rows)
+            assert np.array_equal(sub, active[rows])
+            assert np.array_equal(sub_rounds, rounds[rows])
+
+
+@pytest.mark.parametrize("models, pinned", ENGINE_CASES)
+def test_run_extends_a_closed_state(models, pinned):
+    rng = np.random.default_rng(100 + len(models) * 10 + pinned)
+    for trial in range(6):
+        net = random_multiplex(rng, models, pinned)
+        n, m = net.num_nodes, 6
+        worlds = CascadeWorlds(net, m, trial)
+        first, more = [int(rng.integers(n))], [int(rng.integers(n))]
+        active, acc, _ = worlds.run(first)
+        rows = np.arange(m)[::2]
+        ext, _, _ = worlds.run(more, active=active[rows], acc={i: a[rows] for i, a in acc.items()},
+                               rows=rows)
+        for j, w in enumerate(rows):
+            assert set(np.flatnonzero(ext[j]).tolist()) == \
+                set(reference_closure(worlds, w, first + more))
+
+
+def test_lt_zero_threshold_needs_a_started_cascade():
+    net = single_layer_net([(0, 1)], 3, model=LT, weights=[0.5],
+                           thresholds=[1.0, 1.0, 0.0])
+    worlds = CascadeWorlds(net, 2, 0)
+    assert not worlds.run([])[0].any()
+    assert worlds.run([0])[0].all(axis=0).tolist() == [True, False, True]
+
+
+def _gain_cases():
+    rng = np.random.default_rng(7)
+    for models, pinned in ENGINE_CASES:
+        net = random_multiplex(rng, models, pinned, n=9)
+        yield CascadeWorlds(net, 23, 5)
+    for models in ([IC], [IC, LT]):  # probability-weighted exact worlds
+        net = random_multiplex(rng, models, True, n=7, edges_per_layer=(3, 6))
+        yield exact_worlds(net)
+
+
+@pytest.mark.parametrize("worlds", list(_gain_cases()))
+def test_gains_batch_equals_single_gains(worlds, monkeypatch):
+    n = worlds.net.num_nodes
+    for layers in (None, [0]):
+        base = worlds.baseline([0], layers=layers)
+        nodes = list(range(n))
+        whole = base.gains(nodes)
+        # chunks of three rows: candidates straddle chunk boundaries
+        lt = sum(worlds.net.layers[i].model == LT
+                 for i in (range(worlds.net.num_layers) if layers is None else layers))
+        monkeypatch.setattr(propagation, "GAIN_CHUNK_BYTES", 3 * n * (1 + 8 * lt))
+        chunked = base.gains(nodes)
+        singles = [base.gain(v) for v in nodes]
+        monkeypatch.undo()
+        assert whole.tolist() == chunked.tolist() == singles
+        assert base.gains([]).shape == (0,)
+        before = base.mean_count()
+        for v in nodes:
+            after = worlds.spread([0, v], layers=layers, per_layer=False).mean
+            assert whole[v] == pytest.approx(after - before, abs=1e-9)
