@@ -16,7 +16,7 @@ net = generate_synthetic(GeneratorConfig([60, 100, 140], 750, 0.6,
 print("network:", net.num_nodes, "identities,", net.num_layers,
       "layers, overlap", overlap_count(net))
 
-cfg = SolverConfig(m=100, master_seed=1, gamma=1.0, prune_candidates=False)
+cfg = SolverConfig(m=100, master_seed=1, gamma=1.0)
 budget = 8
 
 solution = run_reasoner(net, budget, cfg)

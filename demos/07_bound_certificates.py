@@ -17,7 +17,7 @@ net = generate_synthetic(GeneratorConfig([5, 6], 10, 0.5, [IC, IC],
 o, k = overlap_count(net), net.num_layers
 print("instance:", net.num_nodes, "identities, o =", o, ", k =", k)
 
-cfg = SolverConfig(m=100, master_seed=2, gamma=1.0, prune_candidates=False)
+cfg = SolverConfig(m=100, master_seed=2, gamma=1.0)
 budget = 2
 solution = run_reasoner(net, budget, cfg)
 

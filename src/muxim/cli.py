@@ -89,6 +89,13 @@ def _method_budget(doc: dict, args, default_budget: int):
     return method, budget
 
 
+def _check_layer(cfg: SolverConfig, method: str, net) -> None:
+    """celf-single's layer must exist in the resolved network."""
+    if method == METHOD_CELF_SINGLE and cfg.single_layer >= net.num_layers:
+        raise _CliError(EXIT_USAGE, {"error": f"bad config: layer {cfg.single_layer} is out "
+                                              f"of range for {net.num_layers} layers"})
+
+
 def _resolve_network(doc: dict, args):
     path = getattr(args, "network", None) or doc.get("network")
     if path:
@@ -162,6 +169,7 @@ def cmd_solve(args) -> int:
     cfg = _solver_config(doc, args)
     method, budget = _method_budget(doc, args, 30)
     net = _resolve_network(doc, args)
+    _check_layer(cfg, method, net)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
 
@@ -209,6 +217,7 @@ def cmd_verify(args) -> int:
     cfg = _solver_config(doc, args)
     method, budget = _method_budget(doc, args, 2)
     net = _resolve_network(doc, args)
+    _check_layer(cfg, method, net)
 
     try:
         solution = solve(net, method, budget, cfg)
@@ -314,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "MIM_THREADS" in os.environ:
-        try:
-            int(os.environ["MIM_THREADS"])
-        except ValueError:
-            print(json.dumps({"error": "MIM_THREADS must be an integer"}))
-            return EXIT_USAGE
     try:
         return args.func(args)
     except _CliError as exc:

@@ -75,10 +75,6 @@ class GroupPartition:
     kinds: list[str]
     rep_of: np.ndarray  # node id -> its representative's node id
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
-
     def tree_variables(self) -> list[int]:
         return [r for r, kind in zip(self.representatives, self.kinds)
                 if kind == GROUP_CORRELATED]
@@ -337,17 +333,6 @@ class ChowLiuTree:
         out = belief[..., 1] / z
         return out[:, self._node_to_pos]
 
-    def condition_all(self, evidence: dict[int, int]) -> dict[int, float]:
-        """P(v = 1 | evidence) for every tree variable."""
-        index = {v: i for i, v in enumerate(self.nodes)}
-        ev = np.full((1, len(self.nodes)), -1, dtype=np.int8)
-        for v, val in evidence.items():
-            if v not in index:
-                raise ValueError(f"evidence node {v} is not a tree variable")
-            ev[0, index[v]] = int(val)
-        probs = self.condition_batch(ev)[0]
-        return {v: float(probs[i]) for i, v in enumerate(self.nodes)}
-
     def to_json(self, partition: GroupPartition | None = None) -> str:
         payload = {
             "root": self.root,
@@ -430,4 +415,10 @@ def tree_condition(tree: ChowLiuTree, query: int, evidence: dict[int, int]) -> f
         raise ValueError(f"query node {query} is not a tree variable")
     if query in evidence:
         return float(int(evidence[query]))
-    return tree.condition_all(evidence)[query]
+    index = {v: i for i, v in enumerate(tree.nodes)}
+    ev = np.full((1, len(tree.nodes)), -1, dtype=np.int8)
+    for v, val in evidence.items():
+        if v not in index:
+            raise ValueError(f"evidence node {v} is not a tree variable")
+        ev[0, index[v]] = int(val)
+    return float(tree.condition_batch(ev)[0, index[query]])

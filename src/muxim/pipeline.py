@@ -11,7 +11,6 @@ plain greedy on the whole multiplex.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -54,7 +53,6 @@ class SolverConfig:
     tau: float = 0.1
     restarts: int = 8
     phase2: bool = True
-    prune_candidates: bool = True
     single_layer: int = 0
 
     def validate(self) -> None:
@@ -67,6 +65,9 @@ class SolverConfig:
             ("restarts", int, lambda v: v >= 1, ">= 1"),
             ("tau", float, lambda v: v > 0, "> 0"),
             ("delta", float, lambda v: v >= 0, ">= 0"),
+            ("score_m", int, lambda v: v >= 1, ">= 1"),
+            ("alpha", float, lambda v: v >= 0, ">= 0"),
+            ("single_layer", int, lambda v: v >= 0, ">= 0"),
         )
         for name, kind, ok, domain in rules:
             value = getattr(self, name)
@@ -204,7 +205,7 @@ def _phase1(net: MultiplexNetwork, budget: int, cfg: SolverConfig,
     candidates = []
     for i in range(net.num_layers):
         scored = None
-        if cfg.prune_candidates and cfg.gamma < 1.0:
+        if cfg.gamma < 1.0:
             runs = probabilistic_greedy(
                 net, i, budget, cfg.kappa, cfg.delta,
                 rng=np.random.default_rng(cfg.master_seed * 7919 + i),
@@ -325,8 +326,7 @@ def run_isf(net: MultiplexNetwork, budget: int,
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
-    all_nodes = list(range(net.num_nodes))
-    picks = _celf_full(net, budget, all_nodes, worlds)
+    picks = celf_greedy(net, None, budget, range(net.num_nodes), worlds=worlds)
     t1 = time.perf_counter()
     spread, cert = _final_certificate(net, picks, cfg, beta=None)
     return Solution(
@@ -364,23 +364,6 @@ def run_celf_single(net: MultiplexNetwork, budget: int,
         wall_times={"phase1": t1 - t0, "phase2": 0.0,
                     "evaluate": time.perf_counter() - t1},
     )
-
-
-def _celf_full(net, budget, nodes, worlds):
-    """Lazy greedy against the full-multiplex spread."""
-    base = worlds.baseline([], layers=None)
-    heap = [(-g, v, 0) for g, v in zip(base.gains(nodes).tolist(), nodes)]
-    heapq.heapify(heap)
-    picks, step = [], 0
-    while heap and len(picks) < budget:
-        neg, v, when = heapq.heappop(heap)
-        if when == step:
-            picks.append(v)
-            base.accept(v)
-            step += 1
-        else:
-            heapq.heappush(heap, (-base.gain(v), v, step))
-    return picks
 
 
 def measure_beta(per_layer_seeds: dict[int, list[int]], order: list[int],

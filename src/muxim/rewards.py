@@ -10,7 +10,6 @@ merely re-activate well-covered nodes earn little.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .network import MultiplexNetwork
 from .pgm import (GROUP_ALWAYS_OFF, GROUP_ALWAYS_ON, ChowLiuTree,
                   CorrelationMatrix, GroupPartition)
 from .propagation import CascadeWorlds
+from .seeding import lazy_greedy
 
 CLAMP_RAW = "raw"
 CLAMP_01 = "clamp01"
@@ -187,7 +187,7 @@ def step_reward(net: MultiplexNetwork, layer: int, seeds, v: int,
 class _ShapedObjective:
     """Incremental shaped-value evaluation over a frozen world batch."""
 
-    def __init__(self, net, layer, ctx, worlds):
+    def __init__(self, layer, ctx, worlds):
         self.ctx = ctx
         self.layer = layer
         self.m = worlds.m
@@ -210,33 +210,14 @@ class _ShapedObjective:
             return float(delta @ self.weights[rows])
         return float(delta.sum() / self.m)
 
+    def gains(self, nodes) -> list[float]:
+        return [self.gain(v) for v in nodes]
+
     def accept(self, v: int) -> None:
-        rows, sub, acc_sub = self.base.extend_rows(v)
+        rows = np.flatnonzero(~self.base.active[:, v])
+        self.base.accept(v)
         if rows.size:
-            self.base.active[rows] = sub
-            for i in self.base.acc:
-                self.base.acc[i][rows] = acc_sub[i]
-            self.base.counts = self.base.active.sum(axis=1).astype(float)
-            self.rows[rows] = shaped_value_rows(sub, self.ctx)
-
-
-def _lazy_greedy(nodes, budget, gain_fn, accept_fn, stop_nonpositive):
-    heap = [(-gain_fn(v), v, 0) for v in nodes]
-    heapq.heapify(heap)
-    picks, gains = [], []
-    step = 0
-    while heap and len(picks) < budget:
-        neg_gain, v, when = heapq.heappop(heap)
-        if when == step:
-            if stop_nonpositive and -neg_gain <= 0.0:
-                break
-            picks.append(v)
-            gains.append(-neg_gain)
-            accept_fn(v)
-            step += 1
-        else:
-            heapq.heappush(heap, (-gain_fn(v), v, step))
-    return picks, gains
+            self.rows[rows] = shaped_value_rows(self.base.active[rows], self.ctx)
 
 
 def reward_shaped_greedy(net: MultiplexNetwork, layer: int, budget: int,
@@ -254,9 +235,8 @@ def reward_shaped_greedy(net: MultiplexNetwork, layer: int, budget: int,
         worlds = CascadeWorlds(net, m, master_seed)
     if budget <= 0 or not nodes:
         return [], []
-    obj = _ShapedObjective(net, layer, ctx, worlds)
-    return _lazy_greedy(nodes, min(budget, len(nodes)), obj.gain, obj.accept,
-                        stop_nonpositive=True)
+    return lazy_greedy(nodes, budget, _ShapedObjective(layer, ctx, worlds),
+                       stop_nonpositive=True)
 
 
 def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
@@ -284,7 +264,7 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
     greedy_picks, _ = reward_shaped_greedy(net, layer, budget, nodes, ctx, worlds=worlds)
     rollouts = [greedy_picks]
     for _ in range(restarts - 1):
-        obj = _ShapedObjective(net, layer, ctx, worlds)
+        obj = _ShapedObjective(layer, ctx, worlds)
         picks: list[int] = []
         while len(picks) < budget:
             remaining = [v for v in nodes if v not in picks]
@@ -304,7 +284,7 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
         rollouts.append(picks)
 
     def final_value(picks):
-        obj = _ShapedObjective(net, layer, ctx, worlds)
+        obj = _ShapedObjective(layer, ctx, worlds)
         for v in picks:
             obj.accept(v)
         return obj.value

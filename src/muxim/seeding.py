@@ -2,15 +2,15 @@
 
 CELF lazy greedy drives the per-layer optimization; a probabilistic greedy
 scorer replaces a learned candidate ranker by estimating how often a node
-earns marginal gain across randomized greedy restarts.
+earns marginal gain across randomized greedy restarts.  `lazy_greedy` is the
+one CELF loop of the package: per-layer and whole-multiplex greedy run it on
+a cascade baseline, shaped greedy on the shaped objective.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +47,6 @@ class ProfitCostTable:
     def num_layers(self) -> int:
         return len(self.rows)
 
-    @property
-    def max_budget(self) -> int:
-        return len(self.rows[0]) - 1
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("layer,budget,cost,profit,seeds\n")
@@ -60,20 +56,42 @@ class ProfitCostTable:
                     fh.write(f"{i},{j},{row.cost},{row.profit!r},{joined}\n")
 
 
-def _max_workers() -> int:
-    return max(1, int(os.environ.get("MIM_THREADS", "1")))
+def lazy_greedy(nodes, budget: int, objective, stop_nonpositive: bool = False):
+    """CELF (Leskovec et al., KDD 2007) over a marginal-gain objective.
+
+    `objective.gains(nodes)` fills a max-heap of gains; the top entry is
+    re-evaluated with `objective.gain(v)` when stale and accepted with
+    `objective.accept(v)` once it is fresh and still on top.  With a
+    submodular objective this reproduces naive greedy exactly; ties fall to
+    the lower node id.  `stop_nonpositive` ends the loop at the first fresh
+    top gain <= 0.  Returns (picks, gains) in selection order.
+    """
+    heap = [(-float(g), v, 0) for g, v in zip(objective.gains(nodes), nodes)]
+    heapq.heapify(heap)
+    picks: list[int] = []
+    gains: list[float] = []
+    while heap and len(picks) < budget:
+        neg_gain, v, when = heapq.heappop(heap)
+        if when == len(picks):  # fresh and on top of the heap: it is the argmax
+            if stop_nonpositive and -neg_gain <= 0.0:
+                break
+            picks.append(v)
+            gains.append(-neg_gain)
+            objective.accept(v)
+        else:
+            heapq.heappush(heap, (-objective.gain(v), v, len(picks)))
+    return picks, gains
 
 
-def celf_greedy(net: MultiplexNetwork, layer: int, budget: int, candidates,
+def celf_greedy(net: MultiplexNetwork, layer: int | None, budget: int, candidates,
                 worlds: CascadeWorlds | None = None, m: int = 100,
                 master_seed: int = 0) -> list[int]:
     """Lazy greedy seed selection on the layer-restricted spread.
 
-    Keeps a max-heap of stale marginal gains, re-evaluates the top entry and
-    accepts it once it is fresh and still on top.  All evaluations share one
-    set of pre-sampled worlds, so with a submodular spread this reproduces
-    naive greedy exactly; ties fall to the lower node id.  Returns the picks
-    in selection order (every prefix is a greedy solution).
+    `layer=None` selects on the whole-multiplex spread instead.  All
+    evaluations share one set of pre-sampled worlds, so with a submodular
+    spread the picks are exactly naive greedy's.  Returns the picks in
+    selection order (every prefix is a greedy solution).
     """
     nodes = candidates.nodes if isinstance(candidates, CandidateSet) else list(candidates)
     if budget > net.num_nodes:
@@ -83,20 +101,8 @@ def celf_greedy(net: MultiplexNetwork, layer: int, budget: int, candidates,
         return []
     if worlds is None:
         worlds = CascadeWorlds(net, m, master_seed)
-    base = worlds.baseline([], layers=[layer])
-    heap = [(-g, v, 0) for g, v in zip(base.gains(nodes).tolist(), nodes)]
-    heapq.heapify(heap)
-    picks: list[int] = []
-    step = 0
-    while heap and len(picks) < budget:
-        neg_gain, v, when = heapq.heappop(heap)
-        if when == step:  # fresh and on top of the heap: it is the argmax
-            picks.append(v)
-            base.accept(v)
-            step += 1
-        else:
-            heapq.heappush(heap, (-base.gain(v), v, step))
-    return picks
+    base = worlds.baseline([], layers=None if layer is None else [layer])
+    return lazy_greedy(nodes, budget, base)[0]
 
 
 def probabilistic_greedy(net: MultiplexNetwork, layer: int, budget: int,
@@ -198,27 +204,19 @@ def build_profit_cost_table(net: MultiplexNetwork, candidates_per_layer,
                             m: int = 100, master_seed: int = 0) -> ProfitCostTable:
     """Run greedy per layer and price every prefix at whole-network spread.
 
-    Layers are independent, so their greedy runs can fan out over threads
-    (capped by MIM_THREADS); profits are evaluated on the full multiplex with
-    shared worlds, which makes each layer's profit column exactly monotone.
+    Profits are evaluated on the full multiplex with shared worlds, which
+    makes each layer's profit column exactly monotone.
     """
     if worlds is None:
         worlds = CascadeWorlds(net, m, master_seed)
-
-    def one_layer(i):
+    rows = []
+    for i in range(net.num_layers):
         picks = celf_greedy(net, i, budget, candidates_per_layer[i], worlds=worlds)
         # a layer with fewer candidates than the budget yields a shorter class
-        rows = [ProfitRow(0, 0.0, ())]
+        layer_rows = [ProfitRow(0, 0.0, ())]
         base = worlds.baseline([], layers=None)
         for j, v in enumerate(picks, start=1):
             base.accept(v)
-            rows.append(ProfitRow(j, base.mean_count(), tuple(picks[:j])))
-        return rows
-
-    workers = _max_workers()
-    if workers > 1 and net.num_layers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_layer, range(net.num_layers)))
-    else:
-        rows = [one_layer(i) for i in range(net.num_layers)]
+            layer_rows.append(ProfitRow(j, base.mean_count(), tuple(picks[:j])))
+        rows.append(layer_rows)
     return ProfitCostTable(rows)

@@ -215,8 +215,7 @@ def test_criterion_7_telescoping_rewards():
     for seed in range(3):
         net = generate_synthetic(GeneratorConfig(
             [14, 18, 24], 110, 0.5, [IC] * 3, rng_seed=seed))
-        cfg = SolverConfig(m=60, master_seed=seed, gamma=1.0,
-                           prune_candidates=False)
+        cfg = SolverConfig(m=60, master_seed=seed, gamma=1.0)
         sol = run_reasoner(net, 5, cfg)
         for entry in sol.reward_trace:
             if entry.get("rewards") is None:
@@ -241,8 +240,7 @@ def test_criterion_8_worst_case_certificate():
         if o < 1:
             continue
         budget = 2
-        cfg = SolverConfig(m=80, master_seed=checked, gamma=1.0,
-                           prune_candidates=False)
+        cfg = SolverConfig(m=80, master_seed=checked, gamma=1.0)
         sol = run_reasoner(net, budget, cfg)
         sigma_hat = exact_spread(net, sol.union_seeds)
         sigma_opt, _ = exhaustive_optimum(net, budget)
@@ -282,8 +280,7 @@ def test_criterion_9_trend_reproduction():
                     counts, 5 * sum(counts) // 2, ov, [IC] * k,
                     rng_seed=1000 * s + k))
                 assert 300 <= net.num_nodes <= 1000
-                cfg = SolverConfig(m=100, master_seed=s, gamma=1.0,
-                                   prune_candidates=False)
+                cfg = SolverConfig(m=100, master_seed=s, gamma=1.0)
                 sol = run_reasoner(net, 10, cfg)
                 ksn_union = sorted(set(itertools.chain.from_iterable(
                     sol.profit_table.rows[r.layer][r.budget].seeds
@@ -328,8 +325,7 @@ def test_criterion_10_model_accounting():
         counts = [12 + 4 * i for i in range(k)]
         net = generate_synthetic(GeneratorConfig(
             counts, 30 * k, 0.5, [IC] * k, rng_seed=k))
-        cfg = SolverConfig(m=60, master_seed=k, gamma=1.0,
-                           prune_candidates=False)
+        cfg = SolverConfig(m=60, master_seed=k, gamma=1.0)
         sol = run_reasoner(net, 4, cfg)
         processed = len(sol.processing_order)
         assert len(sol.models) == min(k - 1, processed - 1)

@@ -130,19 +130,6 @@ def test_inspect_pgm_dumps_trees(tmp_path, capsys):
     assert "group_partition" in doc
 
 
-def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    main(["solve", "--config", cfg, "--method", "ksn",
-          "--outdir", str(tmp_path / "s1")])
-    monkeypatch.setenv("MIM_THREADS", "4")
-    main(["solve", "--config", cfg, "--method", "ksn",
-          "--outdir", str(tmp_path / "s2")])
-    a = json.load(open(tmp_path / "s1" / "solution_ksn.json"))
-    b = json.load(open(tmp_path / "s2" / "solution_ksn.json"))
-    a.pop("wall_times"); b.pop("wall_times")
-    assert a == b
-
-
 NEGATIVE_LT_WEIGHT = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 -0.5\n0 1 2 0.5\n"
 DUPLICATE_EDGE = "#multiplex k=1 n=3\n0 0 1 0.5\n0 0 1 0.5\n0 1 2 0.5\n"
 
@@ -168,12 +155,18 @@ DUPLICATE_EDGE = "#multiplex k=1 n=3\n0 0 1 0.5\n0 0 1 0.5\n0 1 2 0.5\n"
     ({"budget": "ten"}, [], None, 2),
     ({"method": "greedy"}, [], None, 2),
     ({"generator": {"layer_node_counts": [5]}}, [], None, 2),
+    ({"score_m": 0}, [], None, 2),
+    ({"score_m": -3}, [], None, 2),
+    ({"alpha": -1}, [], None, 2),
+    ({"method": "celf-single"}, ["--layer", "7"], None, 2),  # three layers
+    ({"method": "celf-single"}, ["--layer", "-1"], None, 2),
     ({}, ["--exact"], None, 3),  # 90 IC edges exceed the exact guard
 ], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "unknown-key",
         "bad-clamp", "m-zero", "m-string", "xi-zero", "xi-above-one", "gamma-zero",
         "kappa-zero", "restarts-zero", "tau-zero", "delta-negative",
         "budget-negative", "budget-string", "unknown-method", "bad-generator",
-        "exact-guard"])
+        "score-m-zero", "score-m-negative", "alpha-negative", "layer-above-range",
+        "layer-negative", "exact-guard"])
 def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code):
     argv = ["solve", "--config", write_config(tmp_path, **{"method": "ksn", **doc}),
             "--outdir", str(tmp_path / "out"), *flags]

@@ -13,7 +13,7 @@ from conftest import random_guarded_instance, two_layer_net
 
 
 def small_cfg(seed=0, m=60):
-    return SolverConfig(m=m, master_seed=seed, gamma=1.0, prune_candidates=False)
+    return SolverConfig(m=m, master_seed=seed, gamma=1.0)
 
 
 def small_net(seed=0, k=2):
@@ -150,8 +150,8 @@ def test_isf_keeps_classic_ratio_on_guarded_instances(rng):
 
 def test_reasoner_refinement_path():
     net = small_net(seed=8, k=3)
-    cfg = SolverConfig(m=50, master_seed=8, gamma=1.0, prune_candidates=False,
-                       refine=True, tau=0.5, restarts=4)
+    cfg = SolverConfig(m=50, master_seed=8, gamma=1.0, refine=True, tau=0.5,
+                       restarts=4)
     sol = run_reasoner(net, 4, cfg)
     assert len(sol.union_seeds) <= 4
     assert len(sol.models) == 2
@@ -220,8 +220,7 @@ def test_worst_case_bound_on_guarded_instances(rng):
     for trial in range(3):
         net = random_guarded_instance(rng, max_nodes=7, max_ic_edges=10,
                                       num_layers=2)
-        cfg = SolverConfig(m=80, master_seed=trial, gamma=1.0,
-                           prune_candidates=False)
+        cfg = SolverConfig(m=80, master_seed=trial, gamma=1.0)
         sol = run_reasoner(net, 2, cfg)
         sigma_hat = exact_spread(net, sol.union_seeds)
         sigma_opt, _ = exhaustive_optimum(net, 2)

@@ -5,8 +5,8 @@ import pytest
 
 from muxim.propagation import CascadeWorlds, exact_spread, exact_worlds
 from muxim.seeding import (CandidateSet, build_profit_cost_table,
-                           candidate_scores, celf_greedy, probabilistic_greedy,
-                           select_candidates)
+                           candidate_scores, celf_greedy, lazy_greedy,
+                           probabilistic_greedy, select_candidates)
 
 from conftest import random_guarded_instance, single_layer_net, two_layer_net
 
@@ -17,7 +17,7 @@ def star_net(leaves=5):
 
 
 def naive_greedy(net, layer, budget, nodes, worlds):
-    base = worlds.baseline([], layers=[layer])
+    base = worlds.baseline([], layers=None if layer is None else [layer])
     picks = []
     for _ in range(budget):
         best = max((v for v in nodes if v not in picks),
@@ -38,13 +38,42 @@ def test_star_center_dominates():
     assert celf_greedy(net, 0, 1, list(range(net.num_nodes)), worlds=worlds) == [0]
 
 
-def test_celf_equals_naive_greedy(rng):
+@pytest.mark.parametrize("layer", [0, None])  # None: whole-multiplex spread
+def test_celf_equals_naive_greedy(rng, layer):
     for trial in range(12):
-        net = random_guarded_instance(rng, max_nodes=12, max_ic_edges=16)
+        net = random_guarded_instance(rng, max_nodes=12, max_ic_edges=16,
+                                      num_layers=1 if layer == 0 else 2)
         worlds = CascadeWorlds(net, 40, trial)
         nodes = list(range(net.num_nodes))
-        assert celf_greedy(net, 0, 4, nodes, worlds=worlds) == \
-            naive_greedy(net, 0, 4, nodes, worlds)
+        assert celf_greedy(net, layer, 4, nodes, worlds=worlds) == \
+            naive_greedy(net, layer, 4, nodes, worlds)
+
+
+class CoverageObjective:
+    """Stub objective: a node's gain is how many of its items are uncovered."""
+
+    def __init__(self, items):
+        self.items = items
+        self.covered = set()
+
+    def gain(self, v):
+        return float(len(self.items[v] - self.covered))
+
+    def gains(self, nodes):
+        return [self.gain(v) for v in nodes]
+
+    def accept(self, v):
+        self.covered |= self.items[v]
+
+
+def test_lazy_greedy_ties_and_nonpositive_stop():
+    # nodes 0 and 1 tie at gain 2; after 0, node 1 and node 3 tie at gain 0
+    items = {0: {"a", "b"}, 1: {"a", "b"}, 2: {"c"}, 3: set()}
+    nodes = [3, 2, 1, 0]
+    assert lazy_greedy(nodes, 4, CoverageObjective(items)) == \
+        ([0, 2, 1, 3], [2.0, 1.0, 0.0, 0.0])
+    assert lazy_greedy(nodes, 4, CoverageObjective(items), stop_nonpositive=True) == \
+        ([0, 2], [2.0, 1.0])
 
 
 def test_celf_budget_clamp_warns():
