@@ -239,6 +239,7 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
     k - 1 models ever exist.
     """
     cfg = cfg or SolverConfig()
+    cfg.validate()
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     t0 = time.perf_counter()
@@ -263,7 +264,8 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
                 refined = stochastic_refinement(
                     net, layer, j, candidates[layer], ctx, worlds=worlds,
                     temperature=cfg.tau, restarts=cfg.restarts,
-                    rng=np.random.default_rng(cfg.master_seed * 104729 + layer))
+                    rng=np.random.default_rng(cfg.master_seed * 104729 + layer),
+                    greedy_picks=picks)
                 if refined != picks:
                     picks, rewards = refined, None
             seeds = picks
@@ -324,6 +326,7 @@ def run_isf(net: MultiplexNetwork, budget: int,
             cfg: SolverConfig | None = None) -> Solution:
     """Greedy directly on the whole-multiplex spread."""
     cfg = cfg or SolverConfig()
+    cfg.validate()
     t0 = time.perf_counter()
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
     picks = celf_greedy(net, None, budget, range(net.num_nodes), worlds=worlds)
@@ -346,6 +349,7 @@ def run_celf_single(net: MultiplexNetwork, budget: int,
                     cfg: SolverConfig | None = None) -> Solution:
     """Plain greedy confined to one layer (cfg.single_layer)."""
     cfg = cfg or SolverConfig()
+    cfg.validate()
     layer = cfg.single_layer
     t0 = time.perf_counter()
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)

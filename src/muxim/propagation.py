@@ -14,7 +14,7 @@ through a per-world CSR of the live out-edges, a fixed live-edge snapshot as
 in StaticGreedy (Cheng et al., CIKM 2013) and PMC (Ohsaka et al., AAAI 2014);
 LT layers expand it through a per-layer source CSR and add the in-weight per
 key; keys already active are dropped.  Work thus follows the edges leaving
-newly activated nodes.  Rows need not be distinct worlds: `_Baseline.gains`
+newly activated nodes.  Rows need not be distinct worlds: `_Baseline.scan`
 closes one row per (candidate, world) pair, so a whole candidate scan costs a
 few engine calls.
 """
@@ -81,7 +81,7 @@ class StatusDataset:
         np.savetxt(path, self.rows, fmt="%d", delimiter=",", header=header, comments="")
 
 
-# Byte budget of the baseline state _Baseline.gains copies per engine call:
+# Byte budget of the baseline state _Baseline.scan copies per engine call:
 # n active flags plus n float64 in-weights per LT layer for each (candidate,
 # world) row.  The frontier arrays grow with the rows too, so the budget
 # bounds a call's memory; larger chunks run faster but raise peak memory.
@@ -341,28 +341,46 @@ class _Baseline:
         active, acc = self._extend(rows, np.full(rows.size, v))
         return rows, active, acc
 
-    def gains(self, nodes) -> np.ndarray:
-        """Marginal gain of adding each of `nodes` on its own.
+    def scan(self, nodes, row_bytes: int = 0):
+        """Close every (candidate, world) pair where the candidate is new.
 
-        Every (candidate, world) pair where the candidate is still inactive
-        is one engine row; rows are closed in chunks whose state fits in
-        GAIN_CHUNK_BYTES, so a whole candidate scan costs a few engine calls.
+        Each such pair is one engine row, ordered by candidate and then by
+        world.  Rows are closed in chunks whose baseline state, plus the
+        `row_bytes` the consumer holds per row, fits in GAIN_CHUNK_BYTES, so
+        a whole candidate scan costs a few engine calls.  Yields (cand,
+        world, active): indices into `nodes`, the baseline worlds, and the
+        closed (rows, n) states.
         """
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         cand, rows = np.nonzero(~self.active[:, nodes].T)
         n = self.worlds.net.num_nodes
-        step = max(1, GAIN_CHUNK_BYTES // (n * (1 + 8 * len(self.acc))))
-        delta = np.empty(rows.size)
+        step = max(1, GAIN_CHUNK_BYTES // (n * (1 + 8 * len(self.acc)) + row_bytes))
         for s in range(0, rows.size, step):
-            sub = rows[s:s + step]
-            closed = self._extend(sub, nodes[cand[s:s + step]])[0].sum(axis=1)
-            delta[s:s + step] = closed - self.counts[sub]
-        if self.worlds.weights is None:  # integer deltas: any order sums exactly
-            return np.bincount(cand, weights=delta, minlength=nodes.size) / self.worlds.m
-        # one dot product per candidate, the summation order of a lone gain
-        ends = np.searchsorted(cand, np.arange(nodes.size + 1))
-        return np.array([delta[a:b] @ self.worlds.weights[rows[a:b]]
-                         for a, b in zip(ends[:-1], ends[1:])], dtype=float)
+            sub, c = rows[s:s + step], cand[s:s + step]
+            yield c, sub, self._extend(sub, nodes[c])[0]
+
+    def sum_gains(self, size: int, chunks) -> np.ndarray:
+        """Per-candidate gains from the (cand, world, delta) of a scan.
+
+        Each candidate's deltas are summed in world order, the summation
+        order of a lone gain, so batched and single gains agree bit for bit.
+        """
+        gains = np.zeros(size)
+        if not chunks:
+            return gains
+        cand, world, delta = (np.concatenate(part) for part in zip(*chunks))
+        ends = np.searchsorted(cand, np.arange(size + 1))
+        weights = self.worlds.weights
+        for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            if a < b:
+                gains[j] = delta[a:b].sum() / self.worlds.m if weights is None \
+                    else delta[a:b] @ weights[world[a:b]]
+        return gains
+
+    def gains(self, nodes) -> np.ndarray:
+        """Marginal gain of adding each of `nodes` on its own."""
+        chunks = [(c, w, a.sum(axis=1) - self.counts[w]) for c, w, a in self.scan(nodes)]
+        return self.sum_gains(len(nodes), chunks)
 
     def gain(self, v: int) -> float:
         return float(self.gains([v])[0])

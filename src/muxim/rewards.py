@@ -6,6 +6,14 @@ model's conditional probability that the representative is already active
 given which representatives the current cascade activated.  The shaped
 spread counts each activated node as 1 minus that score, so seed sets that
 merely re-activate well-covered nodes earn little.
+
+Shaped greedy keeps each world's current node scores.  Scores depend on a
+world only through which tree variables are active, so a candidate's
+extended world re-runs the models' conditionals only when one of them
+became active; every other world reuses its cached scores.  A candidate
+scan is one chunked `_Baseline.scan` over (candidate, world) rows, and
+evidence patterns are memoized by their packed flag bytes, each new one
+solved once in a batched message-passing run.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import numpy as np
 from .network import MultiplexNetwork
 from .pgm import (GROUP_ALWAYS_OFF, GROUP_ALWAYS_ON, ChowLiuTree,
                   CorrelationMatrix, GroupPartition)
+from . import propagation
 from .propagation import CascadeWorlds
 from .seeding import lazy_greedy
 
@@ -51,48 +60,43 @@ class ActivationModel:
             else:
                 self.kind[u] = 0
                 self.rep_slot[u] = slot[rep]
+        self._fixed = np.where(self.kind == 1, 1.0, 0.0)
+        self._tree_cols = np.flatnonzero(self.kind == 0)
+        self._tree_slots = self.rep_slot[self._tree_cols]
         self._memo: dict[bytes, np.ndarray] = {}
 
-    def _tree_cond_rows(self, flags: np.ndarray) -> np.ndarray:
-        """Posterior rows for (U, q) activation flags; memoized per pattern.
+    def _patterns(self, flags: np.ndarray):
+        """Distinct evidence patterns of (U, q) flags and each row's index.
 
-        Patterns missing from the memo are resolved in one batched
-        message-passing run; activation flags are positive-only evidence.
+        A pattern's key is its `np.packbits` bytes.  Patterns missing from
+        the memo are solved, once each, in one batched message-passing run;
+        activation flags are positive-only evidence.
         """
-        keys = [row.tobytes() for row in flags]
-        missing = [i for i, key in enumerate(keys) if key not in self._memo]
+        packed = np.ascontiguousarray(np.packbits(flags, axis=1))
+        slot: dict[bytes, int] = {}
+        inverse = np.array([slot.setdefault(key, len(slot)) for key
+                            in packed.view(f"V{packed.shape[1]}").ravel().tolist()])
+        uniq = list(slot)
+        missing = [j for j, key in enumerate(uniq) if key not in self._memo]
         if missing:
-            ev = np.where(flags[missing], 1, -1).astype(np.int8)
-            conds = self.tree.condition_batch(ev)
-            for row, i in enumerate(missing):
-                self._memo[keys[i]] = conds[row]
-        return np.stack([self._memo[key] for key in keys])
-
-    def conditionals(self, active_row: np.ndarray) -> np.ndarray:
-        """P(representative already active | cascade evidence), per node.
-
-        Evidence observes the representatives this cascade activated as 1;
-        unactivated representatives stay unobserved rather than being read
-        as negative evidence.
-        """
-        return self.conditionals_matrix(active_row[None, :])[0]
+            first = np.unique(inverse, return_index=True)[1][missing]
+            conds = self.tree.condition_batch(np.where(flags[first], 1, -1).astype(np.int8))
+            self._memo.update(zip((uniq[j] for j in missing), conds))
+        return uniq, inverse
 
     def conditionals_matrix(self, active: np.ndarray) -> np.ndarray:
-        """Batch form of `conditionals`: one row per world.
+        """P(representative already active | cascade evidence), per world and node.
 
-        Worlds sharing an evidence pattern share one message-passing run.
+        Evidence observes the representatives a world's cascade activated as
+        1; unactivated representatives stay unobserved rather than being
+        read as negative evidence.  Worlds sharing an evidence pattern share
+        one message-passing run.
         """
-        m = active.shape[0]
-        out = np.broadcast_to(np.where(self.kind == 1, 1.0, 0.0),
-                              (m, self.kind.size)).copy()
+        out = np.broadcast_to(self._fixed, (active.shape[0], self._fixed.size)).copy()
         if self.tree is not None and self.tree_nodes.size:
-            flags = np.ascontiguousarray(active[:, self.tree_nodes])
-            keys = flags.view([("", flags.dtype)] * flags.shape[1]).ravel()
-            uniq, first, inverse = np.unique(keys, return_index=True,
-                                             return_inverse=True)
-            conds = self._tree_cond_rows(flags[first])
-            mask = self.kind == 0
-            out[:, mask] = conds[inverse][:, self.rep_slot[mask]]
+            uniq, inverse = self._patterns(active[:, self.tree_nodes])
+            conds = np.stack([self._memo[key] for key in uniq])[inverse]
+            out[:, self._tree_cols] = conds[:, self._tree_slots]
         return out
 
 
@@ -119,37 +123,42 @@ def activation_score(u: int, activated, ctx: RewardContext) -> float:
 
 def activation_scores(active_row: np.ndarray, node_idx: np.ndarray,
                       ctx: RewardContext) -> np.ndarray:
-    """Vectorized scores for the given nodes under one cascade outcome.
+    """Vectorized scores for the given nodes under one cascade outcome."""
+    return node_scores(active_row[None, :], ctx)[0, node_idx]
 
-    The model with the largest conditional wins (earlier layers break ties)
-    and contributes its own Pearson weight.
+
+def node_scores(active: np.ndarray, ctx: RewardContext) -> np.ndarray:
+    """(rows, n) score of every node under each row of activation flags.
+
+    Per node, the model with the largest conditional wins (earlier models
+    win ties) and contributes its own Pearson weight.  A row's scores depend
+    only on its flags at the models' tree variables.
     """
-    if not ctx.models or node_idx.size == 0:
-        return np.zeros(node_idx.size)
-    conds = np.stack([mdl.conditionals(active_row)[node_idx] for mdl in ctx.models])
-    corrs = np.stack([mdl.rep_corr[node_idx] for mdl in ctx.models])
-    best = np.argmax(conds, axis=0)
-    cols = np.arange(node_idx.size)
-    w = corrs[best, cols] * conds[best, cols]
+    best = weight = None
+    for mdl in ctx.models:
+        cond = mdl.conditionals_matrix(active)
+        if best is None:
+            best, weight = cond, np.broadcast_to(mdl.rep_corr, cond.shape).copy()
+        else:
+            better = cond > best
+            np.copyto(best, cond, where=better)
+            np.copyto(weight, mdl.rep_corr, where=better)
+    if best is None:
+        return np.zeros(active.shape)
+    w = np.multiply(weight, best, out=best)
     if ctx.clamp == CLAMP_01:
-        w = np.clip(w, 0.0, 1.0)
+        np.clip(w, 0.0, 1.0, out=w)
     return w
+
+
+def _values(w: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Per-row shaped spread from scores: sum of 1 - score over activated nodes."""
+    return active.sum(axis=1) - (w * active).sum(axis=1)
 
 
 def shaped_value_rows(active: np.ndarray, ctx: RewardContext) -> np.ndarray:
     """Per-world shaped spread: sum of 1 - score over activated nodes."""
-    counts = active.sum(axis=1).astype(float)
-    if not ctx.models:
-        return counts
-    stacked = np.stack([mdl.conditionals_matrix(active) for mdl in ctx.models])
-    best = stacked.argmax(axis=0)  # earlier models win ties
-    cond = np.take_along_axis(stacked, best[None], axis=0)[0]
-    corrs = np.stack([mdl.rep_corr for mdl in ctx.models])
-    n = active.shape[1]
-    w = corrs[best, np.arange(n)[None, :]] * cond
-    if ctx.clamp == CLAMP_01:
-        w = np.clip(w, 0.0, 1.0)
-    return counts - (w * active).sum(axis=1)
+    return _values(node_scores(active, ctx), active)
 
 
 def shaped_spread(net: MultiplexNetwork, layer: int, seeds, ctx: RewardContext,
@@ -184,16 +193,41 @@ def step_reward(net: MultiplexNetwork, layer: int, seeds, v: int,
     return after - before
 
 
+# float64 rows of n that scoring one engine row holds at once: its score row
+# and, while it is re-scored, the running best conditional, that model's
+# Pearson weight and one model's conditionals
+_SCORE_ROWS = 4
+# bytes an engine row's pattern key holds per tree model: a short Python
+# bytes object, its list slot and its index among the distinct patterns.
+# Besides its state, a row of the shaped scan also holds one byte per tree
+# variable thrice: its flags, its world's and their comparison.
+_KEY_BYTES = 64
+
+
 class _ShapedObjective:
-    """Incremental shaped-value evaluation over a frozen world batch."""
+    """Shaped-value evaluation over a frozen world batch, with cached scores.
+
+    `w` holds every baseline world's node scores and `flags` its activation
+    flags at the models' tree variables.  An extended world whose flags
+    there are unchanged keeps its world's scores; only the others run the
+    models' conditionals.
+    """
 
     def __init__(self, layer, ctx, worlds):
         self.ctx = ctx
-        self.layer = layer
         self.m = worlds.m
         self.weights = worlds.weights
         self.base = worlds.baseline([], layers=[layer])
-        self.rows = shaped_value_rows(self.base.active, ctx)
+        self.tree_models = [mdl for mdl in ctx.models
+                            if mdl.tree is not None and mdl.tree_nodes.size]
+        self.tree_vars = np.unique(np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [mdl.tree_nodes for mdl in self.tree_models]))
+        self.row_bytes = 3 * self.tree_vars.size + _KEY_BYTES * len(self.tree_models)
+        self.step = max(1, propagation.GAIN_CHUNK_BYTES
+                        // (8 * _SCORE_ROWS * worlds.net.num_nodes))
+        self.flags = self.base.active[:, self.tree_vars]
+        self.w = node_scores(self.base.active, ctx)
+        self.rows = _values(self.w, self.base.active)
 
     @property
     def value(self) -> float:
@@ -201,23 +235,48 @@ class _ShapedObjective:
             return float(self.rows @ self.weights)
         return float(self.rows.mean())
 
-    def gain(self, v: int) -> float:
-        rows, sub, _ = self.base.extend_rows(v)
-        if rows.size == 0:
-            return 0.0
-        delta = shaped_value_rows(sub, self.ctx) - self.rows[rows]
-        if self.weights is not None:
-            return float(delta @ self.weights[rows])
-        return float(delta.sum() / self.m)
+    def _changed(self, world, active):
+        """Rows whose tree-variable flags differ from their baseline world's."""
+        return np.flatnonzero((active[:, self.tree_vars] != self.flags[world]).any(axis=1))
 
-    def gains(self, nodes) -> list[float]:
-        return [self.gain(v) for v in nodes]
+    def _scores(self, world, active):
+        """Scores of closed rows that extend the baseline worlds `world`."""
+        w = self.w[world]
+        changed = self._changed(world, active)
+        if changed.size:
+            w[changed] = node_scores(active[changed], self.ctx)
+        return w
+
+    def gains(self, nodes) -> np.ndarray:
+        """Shaped gain of each of `nodes`, bit for bit a lone gain's.
+
+        Each engine chunk of the scan first solves its new evidence
+        patterns, one batch per model; its rows are then scored in slices
+        whose float temporaries fit in GAIN_CHUNK_BYTES.
+        """
+        chunks = []
+        for cand, world, active in self.base.scan(nodes, self.row_bytes):
+            changed = self._changed(world, active)
+            for mdl in self.tree_models:
+                mdl._patterns(active[:, mdl.tree_nodes][changed])
+            for s in range(0, world.size, self.step):
+                sub, closed = world[s:s + self.step], active[s:s + self.step]
+                delta = _values(self._scores(sub, closed), closed) - self.rows[sub]
+                chunks.append((cand[s:s + self.step], sub, delta))
+        return self.base.sum_gains(len(nodes), chunks)
+
+    def gain(self, v: int) -> float:
+        return float(self.gains([v])[0])
 
     def accept(self, v: int) -> None:
-        rows = np.flatnonzero(~self.base.active[:, v])
+        world = np.flatnonzero(~self.base.active[:, v])
         self.base.accept(v)
-        if rows.size:
-            self.rows[rows] = shaped_value_rows(self.base.active[rows], self.ctx)
+        if world.size:
+            active = self.base.active[world]
+            w = self._scores(world, active)
+            self.w[world] = w
+            self.flags[world] = active[:, self.tree_vars]
+            self.rows[world] = _values(w, active)
 
 
 def reward_shaped_greedy(net: MultiplexNetwork, layer: int, budget: int,
@@ -244,12 +303,15 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
                           worlds: CascadeWorlds | None = None,
                           temperature: float = 0.1, restarts: int = 8,
                           rng: np.random.Generator | int = 0,
-                          m: int = 100, master_seed: int = 0) -> list[int]:
+                          m: int = 100, master_seed: int = 0,
+                          greedy_picks=None) -> list[int]:
     """Softmax-sampled rollouts around the greedy pick; best shaped set wins.
 
     The greedy solution always rides along as rollout 0, so the result is
     never worse than greedy under the shared worlds; as temperature tends to
-    zero the sampler degenerates to greedy itself.
+    zero the sampler degenerates to greedy itself.  `greedy_picks` passes in
+    the caller's `reward_shaped_greedy` picks for the same arguments instead
+    of recomputing them.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -261,8 +323,10 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
-    greedy_picks, _ = reward_shaped_greedy(net, layer, budget, nodes, ctx, worlds=worlds)
-    rollouts = [greedy_picks]
+    if greedy_picks is None:
+        greedy_picks, _ = reward_shaped_greedy(net, layer, budget, nodes, ctx,
+                                               worlds=worlds)
+    rollouts = [list(greedy_picks)]
     for _ in range(restarts - 1):
         obj = _ShapedObjective(layer, ctx, worlds)
         picks: list[int] = []
@@ -270,7 +334,7 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
             remaining = [v for v in nodes if v not in picks]
             if not remaining:
                 break
-            gains = np.array([obj.gain(v) for v in remaining])
+            gains = obj.gains(remaining)
             if gains.max() <= 0.0:
                 break
             if temperature < 1e-9:

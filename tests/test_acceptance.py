@@ -264,6 +264,7 @@ def binom_tail(wins, n):
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2.0 ** n
 
 
+@pytest.mark.slow
 def test_criterion_9_trend_reproduction():
     seeds = range(10)
     overlaps = (0.3, 0.5, 0.7)

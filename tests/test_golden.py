@@ -1,6 +1,6 @@
 """Golden solutions: `muxim solve` output, minus `wall_times`, byte for byte.
 
-Six small generated configs together cover every method, IC, LT and mixed
+Seven small generated configs together cover every method, IC, LT and mixed
 networks, refinement on and off, and candidate pruning on (`gamma` < 1) and
 off.  A change that is meant to alter solutions rewrites the files with
 
@@ -50,6 +50,12 @@ CASES = {
     "celf-single-lt": {
         "method": "celf-single", "budget": 3, "m": 30, "seed": 6, "layer": 1,
         "generator": _gen([22, 28], 150, ["IC", "LT"], 6)},
+    # five IC layers, unsmoothed trees (alpha 0), up to four competing
+    # models in the shaped score, clamped rewards, pruning off
+    "reasoner-ic5-alpha0": {
+        "method": "mim-reasoner", "budget": 6, "m": 30, "seed": 8, "gamma": 1.0,
+        "alpha": 0.0, "clamp_mode": "clamp01",
+        "generator": _gen([20, 24, 22, 26, 18], 300, ["IC"] * 5, 7)},
 }
 
 

@@ -189,6 +189,14 @@ def test_solve_dispatch_and_unknown_method():
         solve(net, "magic", 2, small_cfg())
 
 
+@pytest.mark.parametrize("runner", [run_reasoner, run_ksn, run_isf, run_celf_single])
+@pytest.mark.parametrize("bad", [{"score_m": 0}, {"clamp": "bogus"}])
+def test_library_solvers_validate_config(runner, bad):
+    cfg = SolverConfig(**{**small_cfg().__dict__, **bad})
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        runner(small_net(), 2, cfg)
+
+
 # -- beta ----------------------------------------------------------------------
 
 def test_beta_zero_without_overlap():

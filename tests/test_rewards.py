@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+from muxim.network import IC, LT, MultiplexNetwork
 from muxim.pgm import (chow_liu_fit, pearson_matrix, tree_condition,
                        variable_grouping)
+from muxim import propagation
 from muxim.propagation import CascadeWorlds, exact_worlds, record_status_dataset
-from muxim.rewards import (ActivationModel, RewardContext, activation_score,
-                           reward_shaped_greedy, shaped_spread, step_reward,
-                           stochastic_refinement)
+from muxim.rewards import (ActivationModel, RewardContext, _ShapedObjective,
+                           activation_score, reward_shaped_greedy, shaped_spread,
+                           shaped_value_rows, step_reward, stochastic_refinement)
 from muxim.seeding import celf_greedy
 
-from conftest import random_guarded_instance, single_layer_net, two_layer_net
+from conftest import (make_layer, random_guarded_instance, single_layer_net,
+                      two_layer_net)
 
 
 def fit_model(net, seeds, layers, m=200, seed=0, xi=0.9):
@@ -261,3 +264,103 @@ def test_refinement_beats_greedy_on_coverage_trap():
     refined = stochastic_refinement(net, 0, 2, nodes, ctx, worlds=worlds,
                                     temperature=1.0, restarts=200, rng=1)
     assert shaped_spread(net, 0, refined, ctx, worlds=worlds) == best
+
+
+def _model_stack(kind, num_models, alpha, seed, pinned):
+    """Four-layer multiplex over ten nodes plus `num_models` fitted models.
+
+    `kind` picks the layer models (all IC, all LT, or LT/IC alternating);
+    the shaped objective runs on layer 3.  IC layers below it carry one edge
+    each, so exact worlds stay few; `pinned` fixes LT thresholds, which exact
+    enumeration needs.  The models are fitted to status data of four noisy
+    latent factors plus an always-on and an always-off node, so their trees
+    span several variables.
+    """
+    rng = np.random.default_rng(seed)
+    n = 10
+    models = {"ic": [IC] * 4, "lt": [LT] * 4, "mixed": [LT, IC, LT, IC]}[kind]
+    layers = []
+    for i, model in enumerate(models):
+        size = (6 if i == 3 else 1) if model == IC else 12
+        pairs = rng.choice(n * (n - 1), size=size, replace=False)
+        a, b = np.divmod(pairs, n - 1)
+        edges = np.column_stack([a, b + (b >= a)])
+        if model == IC:
+            layers.append(make_layer(i, IC, edges, n, probs=0.3 + 0.6 * rng.random(size)))
+        else:
+            thresholds = 0.1 + 0.6 * rng.random(n) if pinned else None
+            layers.append(make_layer(i, LT, edges, n, weights=0.1 + 0.4 * rng.random(size),
+                                     thresholds=thresholds))
+    net = MultiplexNetwork(n, layers, np.ones((4, n), dtype=bool))
+    fitted = []
+    for _ in range(num_models):
+        latent = rng.random((120, 4)) < 0.5
+        data = latent[:, rng.integers(0, 4, n)] ^ (rng.random((120, n)) < 0.08)
+        data[:, rng.choice(n, 2, replace=False)] = [True, False]
+        data = data.astype(np.uint8)
+        corr = pearson_matrix(data)
+        part = variable_grouping(data, corr, 0.6)
+        fitted.append(ActivationModel(part, chow_liu_fit(data, part, alpha), corr, n))
+    return net, fitted
+
+
+def _stacked_scores(active, ctx):
+    """Node scores by stacking every model's conditionals and taking argmax."""
+    stacked = np.stack([mdl.conditionals_matrix(active) for mdl in ctx.models])
+    best = stacked.argmax(axis=0)  # earlier models win ties
+    cond = np.take_along_axis(stacked, best[None], axis=0)[0]
+    corrs = np.stack([mdl.rep_corr for mdl in ctx.models])
+    w = corrs[best, np.arange(active.shape[1])[None, :]] * cond
+    return np.clip(w, 0.0, 1.0) if ctx.clamp == "clamp01" else w
+
+
+def _lone_gain(obj, v):
+    """One candidate's shaped gain, re-scoring its extended worlds from scratch."""
+    world, sub, _ = obj.base.extend_rows(v)
+    if world.size == 0:
+        return 0.0
+    delta = shaped_value_rows(sub, obj.ctx) - obj.rows[world]
+    if obj.weights is not None:
+        return float(delta @ obj.weights[world])
+    return float(delta.sum() / obj.m)
+
+
+@pytest.mark.parametrize("budget", [1000, 1 << 14])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("clamp", ["raw", "clamp01"])
+@pytest.mark.parametrize("num_models", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["ic", "lt", "mixed"])
+def test_batched_shaped_gains_are_bit_exact(kind, num_models, clamp, alpha, exact,
+                                            budget, monkeypatch):
+    # a small byte budget forces engine chunks and score slices of a few rows
+    monkeypatch.setattr(propagation, "GAIN_CHUNK_BYTES", budget)
+    net, models = _model_stack(kind, num_models, alpha, 11 + num_models, pinned=exact)
+    worlds = exact_worlds(net) if exact else CascadeWorlds(net, 150, 3)
+    ctx = RewardContext(3, models, clamp)
+    obj = _ShapedObjective(3, ctx, worlds)
+    if models:
+        assert obj.w.tobytes() == _stacked_scores(obj.base.active, ctx).tobytes()
+    nodes = list(range(net.num_nodes))
+    for _ in range(3):
+        got = obj.gains(nodes)
+        want = np.array([_lone_gain(obj, v) for v in nodes])
+        assert got.tobytes() == want.tobytes()
+        assert obj.gain(nodes[-1]) == want[-1]
+        v = nodes.pop(int(np.argmax(got)))
+        obj.accept(v)
+        assert obj.rows.tobytes() == shaped_value_rows(obj.base.active, ctx).tobytes()
+        if models:
+            assert obj.w.tobytes() == _stacked_scores(obj.base.active, ctx).tobytes()
+
+
+def test_refinement_reuses_callers_greedy_picks(rng):
+    net, models = _model_stack("mixed", 2, 1.0, 5, pinned=False)
+    worlds = CascadeWorlds(net, 40, 9)
+    ctx = RewardContext(3, models)
+    nodes = list(range(net.num_nodes))
+    picks, _ = reward_shaped_greedy(net, 3, 3, nodes, ctx, worlds=worlds)
+    kwargs = dict(worlds=worlds, temperature=0.3, restarts=4)
+    assert stochastic_refinement(net, 3, 3, nodes, ctx, rng=7, greedy_picks=picks,
+                                 **kwargs) == \
+        stochastic_refinement(net, 3, 3, nodes, ctx, rng=7, **kwargs)
