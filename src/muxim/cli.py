@@ -46,8 +46,6 @@ class _CliError(Exception):
 def _load_config(path):
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -89,11 +87,18 @@ def _method_budget(doc: dict, args, default_budget: int):
     return method, budget
 
 
-def _check_layer(cfg: SolverConfig, method: str, net) -> None:
-    """celf-single's layer must exist in the resolved network."""
+def _check_method(cfg: SolverConfig, method: str, net) -> None:
+    """Knobs the method needs from the resolved network, checked before any work.
+
+    celf-single's layer must exist; mim-reasoner fits tree models on two or
+    more layers, and those need at least 2 simulations.
+    """
     if method == METHOD_CELF_SINGLE and cfg.single_layer >= net.num_layers:
         raise _CliError(EXIT_USAGE, {"error": f"bad config: layer {cfg.single_layer} is out "
                                               f"of range for {net.num_layers} layers"})
+    if method == METHOD_REASONER and net.num_layers >= 2 and cfg.m < 2:
+        raise _CliError(EXIT_USAGE, {"error": f"bad config: m must be >= 2 for {method} on "
+                                              f"{net.num_layers} layers, got {cfg.m}"})
 
 
 def _resolve_network(doc: dict, args):
@@ -169,7 +174,7 @@ def cmd_solve(args) -> int:
     cfg = _solver_config(doc, args)
     method, budget = _method_budget(doc, args, 30)
     net = _resolve_network(doc, args)
-    _check_layer(cfg, method, net)
+    _check_method(cfg, method, net)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
 
@@ -217,7 +222,7 @@ def cmd_verify(args) -> int:
     cfg = _solver_config(doc, args)
     method, budget = _method_budget(doc, args, 2)
     net = _resolve_network(doc, args)
-    _check_layer(cfg, method, net)
+    _check_method(cfg, method, net)
 
     try:
         solution = solve(net, method, budget, cfg)
@@ -251,6 +256,7 @@ def cmd_inspect_pgm(args) -> int:
     cfg = _solver_config(doc, args)
     _, budget = _method_budget(doc, args, 30)
     net = _resolve_network(doc, args)
+    _check_method(cfg, METHOD_REASONER, net)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
     solution = run_reasoner(net, budget, cfg)
@@ -328,8 +334,8 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(json.dumps(exc.payload))
         return exc.code
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": f"file not found: {exc}"}))
+    except OSError as exc:  # a missing, unreadable or directory path
+        print(json.dumps({"error": f"cannot use {exc.filename}: {exc.strerror}"}))
         return EXIT_USAGE
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,7 +341,7 @@ def load_multiplex(path) -> MultiplexNetwork:
     models: dict[int, str] = {}
     members: list[tuple[int, int]] = []
     thetas: list[tuple[int, int, float]] = []
-    edges: list[tuple[int, int, int, float | None]] = []
+    edges: list[tuple[int, int, int, float | None, int]] = []  # with line number
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -363,6 +362,9 @@ def load_multiplex(path) -> MultiplexNetwork:
             raise ParseError(lineno, "missing '#multiplex' header before data")
 
         toks = line.split()
+        fields = 3 if toks[0] in ("@model", "!member") else 4
+        if len(toks) > fields:
+            raise ParseError(lineno, f"more than {fields} fields: {line!r}")
         try:
             if toks[0] == "@model":
                 lid, kind = int(toks[1]), toks[2]
@@ -388,7 +390,7 @@ def load_multiplex(path) -> MultiplexNetwork:
                 _check_node(lineno, s, n)
                 _check_node(lineno, d, n)
                 x = float(toks[3]) if len(toks) > 3 else None
-                edges.append((lid, s, d, x))
+                edges.append((lid, s, d, x, lineno))
         except ParseError:
             raise
         except (ValueError, IndexError):
@@ -397,7 +399,7 @@ def load_multiplex(path) -> MultiplexNetwork:
     member = np.zeros((k, n), dtype=bool)
     for lid, v in members:
         member[lid, v] = True
-    for lid, s, d, _ in edges:
+    for lid, s, d, _, _ in edges:
         member[lid, s] = True
         member[lid, d] = True
     for lid, v, _ in thetas:
@@ -406,20 +408,19 @@ def load_multiplex(path) -> MultiplexNetwork:
     layers = []
     for lid in range(k):
         kind = models.get(lid, IC)
-        mine = [(s, d, x) for (l, s, d, x) in edges if l == lid]
-        earr = np.array([(s, d) for s, d, _ in mine], dtype=np.int64).reshape(-1, 2)
+        mine = [(s, d, x, ln) for (l, s, d, x, ln) in edges if l == lid]
+        earr = np.array([(s, d) for s, d, _, _ in mine], dtype=np.int64).reshape(-1, 2)
         indeg = np.zeros(n)
         if earr.size:
             np.add.at(indeg, earr[:, 1], 1.0)
         vals = np.array([x if x is not None else 1.0 / indeg[d]
-                         for (s, d, x) in mine], dtype=float)
+                         for (s, d, x, _) in mine], dtype=float)
         if earr.size:
             earr, vals = _sorted_edges(earr, vals)
         if kind == IC:
-            if vals.size and not np.all((vals >= 0.0) & (vals <= 1.0)):
-                bad = next((i + 1 for i, raw in enumerate(lines)
-                            if _is_bad_prob_line(raw, lid)), 0)
-                raise ParseError(bad, "probability outside [0, 1]")
+            bad = [ln for (_, _, x, ln) in mine if x is not None and not 0.0 <= x <= 1.0]
+            if bad:
+                raise ParseError(bad[0], "probability outside [0, 1]")
             layer = Layer(lid, IC, earr, probs=vals)
         else:
             theta_mine = [(v, z) for (l, v, z) in thetas if l == lid]
@@ -445,13 +446,3 @@ def _check_node(lineno, v, n):
     if not (0 <= v < n):
         raise ParseError(lineno, f"node id {v} outside [0, {n})")
 
-
-def _is_bad_prob_line(raw: str, lid: int) -> bool:
-    toks = raw.strip().split()
-    if len(toks) != 4 or toks[0].startswith(("#", "@", "!")):
-        return False
-    try:
-        p = float(toks[3])
-        return int(toks[0]) == lid and (math.isnan(p) or not 0.0 <= p <= 1.0)
-    except ValueError:
-        return False

@@ -3,8 +3,9 @@
 The status dataset collected during simulation is a binary matrix: one row
 per run, one column per node.  Highly correlated columns collapse into
 groups represented by a single node each, and a tree Bayesian network over
-the representatives (the maximum-mutual-information spanning tree) supports
-exact conditional queries by message passing.
+the representatives (the maximum-mutual-information spanning tree, built by
+Prim on the MI matrix, Kruskal's edge order) supports exact conditional
+queries by message passing.
 """
 
 from __future__ import annotations
@@ -98,43 +99,31 @@ def variable_grouping(dataset, corr: CorrelationMatrix, xi: float) -> GroupParti
     x = _rows(dataset)
     n = x.shape[1]
     means = x.mean(axis=0)
-    changing = corr.defined
+    free = corr.defined.copy()
 
     groups, reps, kinds = [], [], []
-    always_on = [v for v in range(n) if not changing[v] and means[v] >= 0.5]
-    always_off = [v for v in range(n) if not changing[v] and means[v] < 0.5]
-
-    grouped = np.zeros(n, dtype=bool)
-    for v in range(n):
-        if not changing[v] or grouped[v]:
+    for v in np.flatnonzero(free).tolist():
+        if not free[v]:
             continue
-        group = [v]
-        grouped[v] = True
-        row = corr.values[v]
-        for u in range(v + 1, n):
-            if changing[u] and not grouped[u] and row[u] > xi:
-                group.append(u)
-                grouped[u] = True
+        group = [v, *(v + 1 + np.flatnonzero(
+            free[v + 1:] & (corr.values[v, v + 1:] > xi))).tolist()]
+        free[group] = False
         centroid = x[:, group].mean(axis=1)
         dists = ((x[:, group] - centroid[:, None]) ** 2).sum(axis=0)
-        rep = group[int(np.argmin(dists))]
         groups.append(group)
-        reps.append(rep)
+        reps.append(group[int(np.argmin(dists))])
         kinds.append(GROUP_CORRELATED)
 
-    if always_on:
-        groups.append(always_on)
-        reps.append(min(always_on))
-        kinds.append(GROUP_ALWAYS_ON)
-    if always_off:
-        groups.append(always_off)
-        reps.append(min(always_off))
-        kinds.append(GROUP_ALWAYS_OFF)
+    for kind, side in ((GROUP_ALWAYS_ON, means >= 0.5), (GROUP_ALWAYS_OFF, means < 0.5)):
+        group = np.flatnonzero(~corr.defined & side).tolist()
+        if group:
+            groups.append(group)
+            reps.append(group[0])
+            kinds.append(kind)
 
     rep_of = np.empty(n, dtype=np.int64)
     for group, rep in zip(groups, reps):
-        for u in group:
-            rep_of[u] = rep
+        rep_of[group] = rep
     return GroupPartition(groups, reps, kinds, rep_of)
 
 
@@ -192,24 +181,6 @@ def _mi_matrix(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum(mi, 0.0)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 @dataclass
 class ChowLiuTree:
     """Tree Bayesian network over representative nodes.
@@ -227,7 +198,6 @@ class ChowLiuTree:
     cpts: dict[int, np.ndarray]
     edge_mi: dict[tuple[int, int], float]
     pair_computations: int
-    log_base: str = "nats"
     _children: dict[int, list[int]] = field(default_factory=dict, repr=False)
     _topo: list[int] = field(default_factory=list, repr=False)
 
@@ -342,7 +312,7 @@ class ChowLiuTree:
             "cpts": {str(c): t.tolist() for c, t in sorted(self.cpts.items())},
             "mi_per_edge": {f"{p}-{c}": self.edge_mi[(p, c)]
                             for c, p in sorted(self.parent.items())},
-            "mi_units": self.log_base,
+            "mi_units": "nats",
         }
         if partition is not None:
             payload["group_partition"] = {
@@ -356,8 +326,12 @@ class ChowLiuTree:
 def chow_liu_fit(dataset, partition: GroupPartition, alpha: float = 1.0) -> ChowLiuTree:
     """Fit the maximum-MI spanning tree over the partition's tree variables.
 
-    Kruskal with ties broken by lexicographic edge order; the lowest-id
-    representative becomes the root and all edges point away from it.  CPTs
+    Prim on the MI matrix, Kruskal's edge order: grown from the lowest-id
+    representative (the root), each step attaches the outside variable whose
+    best edge into the tree comes first under (-MI, lower id, higher id),
+    and the tree end of that edge becomes its parent.  A strict total order
+    makes the spanning tree unique, so it is Kruskal's.  An edge's MI is read
+    as `mi[a, b]` with a before b in the partition's variable order.  CPTs
     are Laplace-smoothed empirical conditionals.
     """
     variables = partition.tree_variables()
@@ -366,47 +340,44 @@ def chow_liu_fit(dataset, partition: GroupPartition, alpha: float = 1.0) -> Chow
         raise ValueError("partition has no changing-column groups to model")
     x = _rows(dataset)[:, variables]
     m = x.shape[0]
-
     mi = _mi_matrix(x, alpha)
-    pair_count = q * (q - 1) // 2
-    edges = sorted(((a, b) for a in range(q) for b in range(a + 1, q)),
-                   key=lambda e: (-mi[e[0], e[1]],
-                                  min(variables[e[0]], variables[e[1]]),
-                                  max(variables[e[0]], variables[e[1]])))
-    uf = _UnionFind(q)
-    chosen = [e for e in edges if uf.union(*e)]
 
-    root = min(variables)
-    adj = {v: [] for v in variables}
-    for a, b in chosen:
-        adj[variables[a]].append(variables[b])
-        adj[variables[b]].append(variables[a])
+    # per outside variable, its best edge into the tree: MI, tie key (lower
+    # id * span + higher id) and the tree end, which becomes its parent
+    ids = np.array(variables, dtype=np.int64)
+    span = int(ids.max()) + 1
+    best = np.full(q, -np.inf)
+    key = np.zeros(q, dtype=np.int64)
+    near = np.zeros(q, dtype=np.int64)
+    outside = np.ones(q, dtype=bool)
     parent: dict[int, int] = {}
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                stack.append(u)
+    start = j = int(np.argmin(ids))
+    outside[j] = False
+    for _ in range(q - 1):
+        row = np.concatenate((mi[:j, j], mi[j, j:]))
+        row_key = np.minimum(ids, ids[j]) * span + np.maximum(ids, ids[j])
+        better = outside & ((row > best) | ((row == best) & (row_key < key)))
+        best[better], key[better], near[better] = row[better], row_key[better], j
+        top = np.flatnonzero(outside & (best == best[outside].max()))
+        j = int(top[np.argmin(key[top])])
+        outside[j] = False
+        parent[variables[j]] = variables[near[j]]
 
-    col = {v: x[:, i] for i, v in enumerate(variables)}
-    ones = {v: float(col[v].sum()) for v in variables}
+    root = variables[start]
+    ones = float(x[:, start].sum())
     root_marginal = np.array([
-        (m - ones[root] + alpha) / (m + 2.0 * alpha),
-        (ones[root] + alpha) / (m + 2.0 * alpha)])
+        (m - ones + alpha) / (m + 2.0 * alpha),
+        (ones + alpha) / (m + 2.0 * alpha)])
     cpts, edge_mi = {}, {}
     idx = {v: i for i, v in enumerate(variables)}
     for child, par in parent.items():
-        joint, _ = _joint_counts(col[par], col[child])
+        joint, _ = _joint_counts(x[:, idx[par]], x[:, idx[child]])
         cpt = (joint + alpha) / (joint.sum(axis=1, keepdims=True) + 2.0 * alpha)
         cpts[child] = cpt
         edge_mi[(par, child)] = float(mi[idx[par], idx[child]])
 
     return ChowLiuTree(sorted(variables), root, parent, root_marginal, cpts,
-                       edge_mi, pair_count)
+                       edge_mi, q * (q - 1) // 2)
 
 
 def tree_condition(tree: ChowLiuTree, query: int, evidence: dict[int, int]) -> float:

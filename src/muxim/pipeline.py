@@ -242,6 +242,9 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
     cfg.validate()
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if cfg.phase2 and net.num_layers >= 2 and cfg.m < 2:
+        raise ValueError(f"m must be >= 2 to fit tree models on {net.num_layers} "
+                         f"layers, got {cfg.m}")
     t0 = time.perf_counter()
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
     candidates, table, alloc = _phase1(net, budget, cfg, worlds)

@@ -132,42 +132,66 @@ def test_inspect_pgm_dumps_trees(tmp_path, capsys):
 
 NEGATIVE_LT_WEIGHT = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 -0.5\n0 1 2 0.5\n"
 DUPLICATE_EDGE = "#multiplex k=1 n=3\n0 0 1 0.5\n0 0 1 0.5\n0 1 2 0.5\n"
+# the bad probability sorts after a good edge but comes first in the file
+BAD_PROB_FIRST = "#multiplex k=1 n=3\n0 1 2 1.5\n0 0 1 0.5\n"
+BAD_PROB_SECOND = "#multiplex k=2 n=3\n1 0 1 0.5\n0 0 1 0.5\n0 1 2 nan\n"
+EDGE_EXTRA_TOKEN = "#multiplex k=1 n=3\n0 1 2 0.5\n0 0 1 0.5 0.7\n"
+EDGE_EXTRA_JUNK = "#multiplex k=1 n=3\n0 0 1 0.5\n0 1 2 1.5 junk\n"
+MODEL_EXTRA_TOKEN = "#multiplex k=1 n=3\n@model 0 LT x\n0 0 1 0.5\n"
+MEMBER_EXTRA_TOKEN = "#multiplex k=1 n=3\n0 0 1 0.5\n!member 0 2 2\n"
+THETA_EXTRA_TOKEN = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 0.5\n@theta 0 1 0.5 0.1\n"
 
 
-@pytest.mark.parametrize("doc, flags, network, code", [
+@pytest.mark.parametrize("doc, flags, network, code, error", [
     # every key the benchmark writes is accepted
     ({"method": "isf", "budget": 2, "m": 20, "gamma": 1.0, "refine": True,
-      "restarts": 2, "seed": 1}, [], None, 0),
-    ({}, [], NEGATIVE_LT_WEIGHT, 2),
-    ({}, [], DUPLICATE_EDGE, 2),
-    ({"gama": 0.5}, [], None, 2),
-    ({"clamp_mode": "bogus"}, [], None, 2),
-    ({}, ["--m", "0"], None, 2),
-    ({"m": "100"}, [], None, 2),
-    ({"xi": 0.0}, [], None, 2),
-    ({"xi": 1.5}, [], None, 2),
-    ({"gamma": 0}, [], None, 2),
-    ({"kappa": 0}, [], None, 2),
-    ({"restarts": 0}, [], None, 2),
-    ({"tau": 0.0}, [], None, 2),
-    ({"delta": -0.1}, [], None, 2),
-    ({"budget": -1}, [], None, 2),
-    ({"budget": "ten"}, [], None, 2),
-    ({"method": "greedy"}, [], None, 2),
-    ({"generator": {"layer_node_counts": [5]}}, [], None, 2),
-    ({"score_m": 0}, [], None, 2),
-    ({"score_m": -3}, [], None, 2),
-    ({"alpha": -1}, [], None, 2),
-    ({"method": "celf-single"}, ["--layer", "7"], None, 2),  # three layers
-    ({"method": "celf-single"}, ["--layer", "-1"], None, 2),
-    ({}, ["--exact"], None, 3),  # 90 IC edges exceed the exact guard
-], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "unknown-key",
+      "restarts": 2, "seed": 1}, [], None, 0, None),
+    ({}, [], NEGATIVE_LT_WEIGHT, 2, None),
+    ({}, [], DUPLICATE_EDGE, 2, None),
+    ({}, [], BAD_PROB_FIRST, 2, "line 2: probability outside [0, 1]"),
+    ({}, [], BAD_PROB_SECOND, 2, "line 4: probability outside [0, 1]"),
+    ({}, [], EDGE_EXTRA_TOKEN, 2, "line 3:"),
+    ({}, [], EDGE_EXTRA_JUNK, 2, "line 3:"),
+    ({}, [], MODEL_EXTRA_TOKEN, 2, "line 2:"),
+    ({}, [], MEMBER_EXTRA_TOKEN, 2, "line 3:"),
+    ({}, [], THETA_EXTRA_TOKEN, 2, "line 4:"),
+    ({}, ["--config", "{tmp}"], None, 2, "Is a directory"),
+    ({}, ["--network", "{tmp}"], None, 2, "Is a directory"),
+    ({}, ["--outdir", "{tmp}/config.json"], None, 2, "File exists"),
+    ({"method": "mim-reasoner", "m": 1}, [], None, 2, "m must be >= 2"),
+    ({"method": "ksn", "m": 1}, [], None, 0, None),
+    ({"gama": 0.5}, [], None, 2, None),
+    ({"clamp_mode": "bogus"}, [], None, 2, None),
+    ({}, ["--m", "0"], None, 2, None),
+    ({"m": "100"}, [], None, 2, None),
+    ({"xi": 0.0}, [], None, 2, None),
+    ({"xi": 1.5}, [], None, 2, None),
+    ({"gamma": 0}, [], None, 2, None),
+    ({"kappa": 0}, [], None, 2, None),
+    ({"restarts": 0}, [], None, 2, None),
+    ({"tau": 0.0}, [], None, 2, None),
+    ({"delta": -0.1}, [], None, 2, None),
+    ({"budget": -1}, [], None, 2, None),
+    ({"budget": "ten"}, [], None, 2, None),
+    ({"method": "greedy"}, [], None, 2, None),
+    ({"generator": {"layer_node_counts": [5]}}, [], None, 2, None),
+    ({"score_m": 0}, [], None, 2, None),
+    ({"score_m": -3}, [], None, 2, None),
+    ({"alpha": -1}, [], None, 2, None),
+    ({"method": "celf-single"}, ["--layer", "7"], None, 2, None),  # three layers
+    ({"method": "celf-single"}, ["--layer", "-1"], None, 2, None),
+    ({}, ["--exact"], None, 3, None),  # 90 IC edges exceed the exact guard
+], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "bad-prob-first",
+        "bad-prob-second", "edge-extra-token", "edge-extra-junk", "model-extra-token",
+        "member-extra-token", "theta-extra-token", "config-is-dir", "network-is-dir",
+        "outdir-is-file", "reasoner-m-one", "ksn-m-one", "unknown-key",
         "bad-clamp", "m-zero", "m-string", "xi-zero", "xi-above-one", "gamma-zero",
         "kappa-zero", "restarts-zero", "tau-zero", "delta-negative",
         "budget-negative", "budget-string", "unknown-method", "bad-generator",
         "score-m-zero", "score-m-negative", "alpha-negative", "layer-above-range",
         "layer-negative", "exact-guard"])
-def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code):
+def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code, error):
+    flags = [f.format(tmp=tmp_path) for f in flags]
     argv = ["solve", "--config", write_config(tmp_path, **{"method": "ksn", **doc}),
             "--outdir", str(tmp_path / "out"), *flags]
     if network is not None:
@@ -175,13 +199,26 @@ def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code):
         path.write_text(network)
         argv += ["--network", str(path)]
     assert main(argv) == code
-    out = read_json(capsys)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out.strip().splitlines()[-1])
     if code == 0:
         assert os.path.exists(out["solution"])
     else:
         assert "error" in out
+    if error is not None:
+        assert error in out["error"]
     if code == 2:  # rejected before any work
         assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["inspect-pgm", "verify"])
+def test_reasoner_single_simulation_rejected_before_work(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, method="mim-reasoner", m=1)
+    outdir = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--outdir", outdir]) == 2
+    assert "m must be >= 2" in read_json(capsys)["error"]
+    assert not os.path.exists(outdir)
 
 
 def test_solve_names_unknown_keys(tmp_path, capsys):

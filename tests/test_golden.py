@@ -2,7 +2,9 @@
 
 Seven small generated configs together cover every method, IC, LT and mixed
 networks, refinement on and off, and candidate pruning on (`gamma` < 1) and
-off.  A change that is meant to alter solutions rewrites the files with
+off.  Two of them also pin the `muxim inspect-pgm` tree dumps, whose CPTs
+and per-edge MI no solution shows.  A change that is meant to alter
+solutions rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -59,11 +61,20 @@ CASES = {
 }
 
 
-def solve_case(name, workdir):
-    """Solution JSON text of one case, minus `wall_times`."""
+# cases whose fitted trees are pinned too: unsmoothed five-layer, mixed IC/LT
+PGM_CASES = ["reasoner-ic5-alpha0", "reasoner-mixed-refine"]
+
+
+def _config(name, workdir):
     config = os.path.join(workdir, f"{name}.config.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(CASES[name], fh)
+    return config
+
+
+def solve_case(name, workdir):
+    """Solution JSON text of one case, minus `wall_times`."""
+    config = _config(name, workdir)
     outdir = os.path.join(workdir, name)
     assert main(["solve", "--config", config, "--outdir", outdir]) == 0
     with open(os.path.join(outdir, f"solution_{CASES[name]['method']}.json"),
@@ -73,11 +84,34 @@ def solve_case(name, workdir):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def inspect_case(name, workdir):
+    """`inspect-pgm` output of one case: {golden file name: text}."""
+    outdir = os.path.join(workdir, f"{name}-pgm")
+    assert main(["inspect-pgm", "--config", _config(name, workdir),
+                 "--outdir", outdir]) == 0
+    out = {}
+    for fname in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, fname), encoding="utf-8") as fh:
+            out[f"{name}.{fname}"] = fh.read()
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_solution(name, tmp_path, capsys):
     with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
         want = fh.read()
     assert solve_case(name, str(tmp_path)) == want
+
+
+@pytest.mark.parametrize("name", PGM_CASES)
+def test_golden_pgm(name, tmp_path, capsys):
+    want = {}
+    for fname in sorted(os.listdir(GOLDEN_DIR)):
+        if fname.startswith(f"{name}.pgm_"):
+            with open(os.path.join(GOLDEN_DIR, fname), encoding="utf-8") as fh:
+                want[fname] = fh.read()
+    assert want, f"no inspect-pgm goldens recorded for {name}"
+    assert inspect_case(name, str(tmp_path)) == want
 
 
 if __name__ == "__main__":
@@ -87,3 +121,8 @@ if __name__ == "__main__":
             with open(os.path.join(GOLDEN_DIR, f"{case}.json"), "w",
                       encoding="utf-8") as out:
                 out.write(solve_case(case, tmp))
+        for case in PGM_CASES:
+            for fname, text in inspect_case(case, tmp).items():
+                with open(os.path.join(GOLDEN_DIR, fname), "w",
+                          encoding="utf-8") as out:
+                    out.write(text)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from muxim.pgm import (GROUP_ALWAYS_OFF, GROUP_ALWAYS_ON, GROUP_CORRELATED,
-                       chow_liu_fit, mutual_information, pearson_matrix,
-                       tree_condition, variable_grouping)
+                       _mi_matrix, chow_liu_fit, mutual_information,
+                       pearson_matrix, tree_condition, variable_grouping)
 
 
 def fit_on(data, xi=0.95, alpha=1.0):
@@ -251,6 +251,132 @@ def test_fitted_tree_maximizes_mi_over_all_spanning_trees(rng):
               for a in range(q) for b in range(a + 1, q)}
         best = max(sum(mi[e] for e in edges) for edges in all_spanning_trees(q))
         assert tree.total_mi() == pytest.approx(best, abs=1e-12)
+
+
+# -- referees: a Kruskal tree and a per-pair grouping loop ----------------------
+
+def kruskal_reference(data, part, alpha):
+    """Rooted Kruskal tree: sort every pair, union-find, orient from the root.
+
+    Pairs sort by (-MI, lower id, higher id), reading `mi[a, b]` with a < b
+    by position in the tree variables.  Returns (parent, edge_mi).
+    """
+    variables = part.tree_variables()
+    q = len(variables)
+    mi = _mi_matrix(np.asarray(data, dtype=np.float64)[:, variables], alpha)
+    edges = sorted(((a, b) for a in range(q) for b in range(a + 1, q)),
+                   key=lambda e: (-mi[e[0], e[1]],
+                                  min(variables[e[0]], variables[e[1]]),
+                                  max(variables[e[0]], variables[e[1]])))
+    comp = list(range(q))
+
+    def find(a):
+        while comp[a] != a:
+            a = comp[a]
+        return a
+
+    adj = {v: [] for v in variables}
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            comp[rb] = ra
+            adj[variables[a]].append(variables[b])
+            adj[variables[b]].append(variables[a])
+    idx = {v: i for i, v in enumerate(variables)}
+    parent, edge_mi = {}, {}
+    stack, seen = [min(variables)], {min(variables)}
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                parent[u] = v
+                edge_mi[(v, u)] = float(mi[idx[v], idx[u]])
+                stack.append(u)
+    return parent, edge_mi
+
+
+def grouping_reference(data, corr, xi):
+    """Per-pair grouping loop: (groups, representatives, kinds, rep_of)."""
+    x = np.asarray(data, dtype=np.float64)
+    n = x.shape[1]
+    means = x.mean(axis=0)
+    groups, reps, kinds = [], [], []
+    grouped = np.zeros(n, dtype=bool)
+    for v in range(n):
+        if not corr.defined[v] or grouped[v]:
+            continue
+        group = [v]
+        grouped[v] = True
+        for u in range(v + 1, n):
+            if corr.defined[u] and not grouped[u] and corr.values[v, u] > xi:
+                group.append(u)
+                grouped[u] = True
+        centroid = x[:, group].mean(axis=1)
+        dists = ((x[:, group] - centroid[:, None]) ** 2).sum(axis=0)
+        groups.append(group)
+        reps.append(group[int(np.argmin(dists))])
+        kinds.append(GROUP_CORRELATED)
+    for kind, pick in ((GROUP_ALWAYS_ON, means >= 0.5), (GROUP_ALWAYS_OFF, means < 0.5)):
+        group = [v for v in range(n) if not corr.defined[v] and pick[v]]
+        if group:
+            groups.append(group)
+            reps.append(min(group))
+            kinds.append(kind)
+    rep_of = np.empty(n, dtype=np.int64)
+    for group, rep in zip(groups, reps):
+        rep_of[group] = rep
+    return groups, reps, kinds, rep_of
+
+
+def referee_datasets(seed):
+    """Seeded random, duplicated-column and three-row binary datasets.
+
+    Duplicated columns are copies or complements of a few base columns with
+    rare flips: their MI ties exactly or within an ulp, where `_mi_matrix`
+    is not exactly symmetric and only Kruskal's entry picks Kruskal's tree.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(4, 60))
+        yield "random", (rng.random((m, n)) < rng.random(n)).astype(np.uint8)
+        base = (rng.random((m, int(rng.integers(1, 6)))) < 0.5).astype(np.uint8)
+        cols = rng.integers(0, base.shape[1], size=n)
+        complement = (rng.random(n) < 0.5).astype(np.uint8)
+        flips = (rng.random((m, n)) < 0.03).astype(np.uint8)
+        yield "duplicated", base[:, cols] ^ complement ^ flips
+        yield "three-row", (rng.random((3, n)) < 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize("xi", [0.6, 0.999999])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_tree_fit_matches_kruskal_bit_for_bit(xi, alpha):
+    fits = 0
+    for kind, data in referee_datasets(seed=int(xi * 1e6) + int(alpha)):
+        part = variable_grouping(data, pearson_matrix(data), xi)
+        if not part.tree_variables():
+            continue
+        tree = chow_liu_fit(data, part, alpha=alpha)
+        parent, edge_mi = kruskal_reference(data, part, alpha)
+        assert tree.parent == parent, kind
+        assert tree.edge_mi == edge_mi, kind  # exact float equality
+        fits += 1
+    assert fits >= 160
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.6, 0.8, 0.999999])
+def test_grouping_matches_per_pair_loop(xi):
+    for kind, data in referee_datasets(seed=int(xi * 1e6) + 17):
+        corr = pearson_matrix(data)
+        part = variable_grouping(data, corr, xi)
+        groups, reps, kinds, rep_of = grouping_reference(data, corr, xi)
+        assert part.groups == groups, kind
+        assert part.representatives == reps, kind
+        assert part.kinds == kinds, kind
+        assert np.array_equal(part.rep_of, rep_of), kind
+        assert all(type(v) is int for g in part.groups for v in g)
+        assert all(type(r) is int for r in part.representatives)
 
 
 # -- inference ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from muxim import pipeline
 from muxim.network import IC, GeneratorConfig, generate_synthetic, overlap_count
 from muxim.pipeline import (PhaseState, RatioCertificate, SolverConfig,
                             exhaustive_optimum, measure_beta, run_celf_single,
@@ -195,6 +196,21 @@ def test_library_solvers_validate_config(runner, bad):
     cfg = SolverConfig(**{**small_cfg().__dict__, **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
         runner(small_net(), 2, cfg)
+
+
+def test_reasoner_needs_two_simulations_before_phase1(monkeypatch):
+    calls = []
+    real_phase1 = pipeline._phase1
+    monkeypatch.setattr(pipeline, "_phase1",
+                        lambda *args: calls.append(1) or real_phase1(*args))
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        run_reasoner(small_net(k=3), 2, small_cfg(m=1))
+    assert not calls
+    # no tree model is fitted: one layer, or the allocation-only baseline
+    one_layer = generate_synthetic(GeneratorConfig([14], 40, 0.0, [IC]))
+    assert run_reasoner(one_layer, 2, small_cfg(m=1)).union_seeds
+    for runner in (run_ksn, run_isf, run_celf_single):
+        assert runner(small_net(k=3), 2, small_cfg(m=1)).union_seeds
 
 
 # -- beta ----------------------------------------------------------------------
