@@ -340,8 +340,8 @@ def load_multiplex(path) -> MultiplexNetwork:
     k = n = None
     models: dict[int, str] = {}
     members: list[tuple[int, int]] = []
-    thetas: list[tuple[int, int, float]] = []
-    edges: list[tuple[int, int, int, float | None, int]] = []  # with line number
+    thetas: list[tuple[int, int, float, int]] = []  # with line number
+    edges: dict[tuple[int, int, int], tuple[float | None, int]] = {}  # -> (value, line)
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -350,9 +350,11 @@ def load_multiplex(path) -> MultiplexNetwork:
         if line.startswith("#multiplex"):
             try:
                 parts = dict(tok.split("=") for tok in line.split()[1:])
-                k, n = int(parts["k"]), int(parts["n"])
+                k, n = int(parts.pop("k")), int(parts.pop("n"))
             except (ValueError, KeyError):
                 raise ParseError(lineno, "bad header; expected '#multiplex k=<int> n=<int>'")
+            if parts:
+                raise ParseError(lineno, f"unknown header key {sorted(parts)[0]!r}")
             if k < 1 or n < 1:
                 raise ParseError(lineno, "k and n must be positive")
             continue
@@ -383,47 +385,58 @@ def load_multiplex(path) -> MultiplexNetwork:
                 _check_node(lineno, v, n)
                 if not (0.0 <= z <= 1.0):
                     raise ParseError(lineno, f"threshold {z} outside [0, 1]")
-                thetas.append((lid, v, z))
+                thetas.append((lid, v, z, lineno))
             else:
                 lid, s, d = int(toks[0]), int(toks[1]), int(toks[2])
                 _check_layer(lineno, lid, k)
                 _check_node(lineno, s, n)
                 _check_node(lineno, d, n)
                 x = float(toks[3]) if len(toks) > 3 else None
-                edges.append((lid, s, d, x, lineno))
+                if s == d:
+                    raise ParseError(lineno, "self-loop")
+                if (lid, s, d) in edges:
+                    raise ParseError(lineno, f"duplicate edge, first on line "
+                                     f"{edges[lid, s, d][1]}")
+                edges[lid, s, d] = (x, lineno)
         except ParseError:
             raise
         except (ValueError, IndexError):
             raise ParseError(lineno, f"malformed line: {line!r}")
 
+    for (lid, _, _), (x, lineno) in edges.items():
+        if models.get(lid, IC) == IC and not (x is None or 0.0 <= x <= 1.0):
+            raise ParseError(lineno, "probability outside [0, 1]")
+        if models.get(lid, IC) == LT and not (x is None or x >= 0.0):
+            raise ParseError(lineno, f"LT weight must be >= 0, got {x}")
+    for lid, _, _, lineno in thetas:
+        if models.get(lid, IC) != LT:
+            raise ParseError(lineno, f"@theta on layer {lid}, which is not LT")
+
     member = np.zeros((k, n), dtype=bool)
     for lid, v in members:
         member[lid, v] = True
-    for lid, s, d, _, _ in edges:
+    for lid, s, d in edges:
         member[lid, s] = True
         member[lid, d] = True
-    for lid, v, _ in thetas:
+    for lid, v, _, _ in thetas:
         member[lid, v] = True
 
     layers = []
     for lid in range(k):
         kind = models.get(lid, IC)
-        mine = [(s, d, x, ln) for (l, s, d, x, ln) in edges if l == lid]
-        earr = np.array([(s, d) for s, d, _, _ in mine], dtype=np.int64).reshape(-1, 2)
+        mine = [(s, d, x) for (l, s, d), (x, _) in edges.items() if l == lid]
+        earr = np.array([(s, d) for s, d, _ in mine], dtype=np.int64).reshape(-1, 2)
         indeg = np.zeros(n)
         if earr.size:
             np.add.at(indeg, earr[:, 1], 1.0)
         vals = np.array([x if x is not None else 1.0 / indeg[d]
-                         for (s, d, x, _) in mine], dtype=float)
+                         for (s, d, x) in mine], dtype=float)
         if earr.size:
             earr, vals = _sorted_edges(earr, vals)
         if kind == IC:
-            bad = [ln for (_, _, x, ln) in mine if x is not None and not 0.0 <= x <= 1.0]
-            if bad:
-                raise ParseError(bad[0], "probability outside [0, 1]")
             layer = Layer(lid, IC, earr, probs=vals)
         else:
-            theta_mine = [(v, z) for (l, v, z) in thetas if l == lid]
+            theta_mine = [(v, z) for (l, v, z, _) in thetas if l == lid]
             thr = None
             if theta_mine:
                 # undeclared members get the hardest threshold rather than 0

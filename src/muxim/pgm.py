@@ -5,14 +5,15 @@ per run, one column per node.  Highly correlated columns collapse into
 groups represented by a single node each, and a tree Bayesian network over
 the representatives (the maximum-mutual-information spanning tree, built by
 Prim on the MI matrix, Kruskal's edge order) supports exact conditional
-queries by message passing.
+queries by two-pass message passing, one sweep each way over the tree's
+breadth-first depth slices.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,45 +199,29 @@ class ChowLiuTree:
     cpts: dict[int, np.ndarray]
     edge_mi: dict[tuple[int, int], float]
     pair_computations: int
-    _children: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    _topo: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self._children = {v: [] for v in self.nodes}
-        for child, par in self.parent.items():
-            self._children[par].append(child)
-        for v in self._children:
-            self._children[v].sort()
-        order, stack = [], [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self._children[v]))
-        self._topo = order
-        # array form for batched message passing: parents precede children
-        q = len(order)
+        # breadth-first positions from the root, siblings in ascending id:
+        # each depth is one slice whose children come grouped by parent
+        kids = {v: [] for v in self.nodes}
+        for child, par in sorted(self.parent.items()):
+            kids[par].append(child)
+        order, pos_parent = [self.root], [-1]
+        for p, v in enumerate(order):  # grows while walked: breadth-first
+            order += kids[v]
+            pos_parent += [p] * len(kids[v])
+        pos_parent = np.array(pos_parent, dtype=np.int64)
+        self._levels, lo = [], 1
+        while lo < len(order):
+            hi = int(np.searchsorted(pos_parent, lo))  # children of the depth ending at lo
+            parents = pos_parent[lo:hi]
+            starts = np.flatnonzero(np.diff(parents, prepend=-1))
+            self._levels.append((slice(lo, hi), parents, parents[starts], starts))
+            lo = hi
         pos = {v: i for i, v in enumerate(order)}
         self._node_to_pos = np.array([pos[v] for v in self.nodes], dtype=np.int64)
-        self._pos_parent = np.array(
-            [-1] + [pos[self.parent[order[p]]] for p in range(1, q)], dtype=np.int64)
-        self._pos_children = [[pos[c] for c in self._children[v]] for v in order]
-        self._pos_cpt = np.empty((q, 2, 2))
-        self._pos_cpt[0] = np.stack([self.root_marginal, self.root_marginal])
-        for p in range(1, q):
-            self._pos_cpt[p] = self.cpts[order[p]]
-        # positions grouped by depth, with children ordered by parent so
-        # per-parent products reduce contiguously
-        depth = np.zeros(q, dtype=np.int64)
-        for p in range(1, q):
-            depth[p] = depth[self._pos_parent[p]] + 1
-        self._levels = []
-        for d in range(1, int(depth.max()) + 1 if q > 1 else 1):
-            idx = np.flatnonzero(depth == d)
-            idx = idx[np.argsort(self._pos_parent[idx], kind="stable")]
-            parents = self._pos_parent[idx]
-            starts = np.flatnonzero(np.concatenate(
-                ([True], parents[1:] != parents[:-1])))
-            self._levels.append((idx, parents, parents[starts], starts))
+        self._pos_cpt = np.stack([np.stack([self.root_marginal] * 2)]
+                                 + [self.cpts[v] for v in order[1:]])
 
     @property
     def num_edges(self) -> int:
@@ -251,6 +236,14 @@ class ChowLiuTree:
         `evidence` is (U, q) int8 aligned to `self.nodes` order: -1 means
         unobserved, 0/1 an observed state.  Returns (U, q) posteriors
         P(node = 1 | evidence) in the same alignment.
+
+        One sweep up and one down the depth slices, each level a
+        broadcast over (U, level, 2).  Going down, a child's message from
+        its parent divides the child's own upward message out of the
+        parent's product.  Where that message is zero (only unsmoothed CPTs
+        make one) the child gets 0: its subtree gives that parent state
+        probability zero, so no belief in the subtree weighs the value
+        passed there.  Evidence of probability zero raises ValueError.
         """
         q = len(self.nodes)
         ev = np.asarray(evidence, dtype=np.int8).reshape(-1, q)
@@ -263,38 +256,22 @@ class ChowLiuTree:
         lam[..., 0][ev_topo == 1] = 0.0
         prodmsg = np.ones((U, q, 2))
         msg = np.empty((U, q, 2))
-        for idx, parents, par_uniq, starts in reversed(self._levels):
-            lam_l = lam[:, idx] * prodmsg[:, idx]
-            m = np.einsum("ulc,lpc->ulp", lam_l, self._pos_cpt[idx])
-            msg[:, idx] = m
+        for sl, parents, par_uniq, starts in reversed(self._levels):
+            lam_l = lam[:, sl] * prodmsg[:, sl]
+            cpt = self._pos_cpt[sl]
+            m = lam_l[..., :1] * cpt[:, :, 0] + lam_l[..., 1:] * cpt[:, :, 1]
+            msg[:, sl] = m
             prodmsg[:, par_uniq] *= np.multiply.reduceat(m, starts, axis=1)
 
         pi = np.empty((U, q, 2))
         pi[:, 0, :] = self.root_marginal
-        if q > 1 and msg[:, 1:].min() > 0.0:
-            # strictly positive messages (smoothed CPTs): vectorized level
-            # sweep excluding each child's own message by division
-            for idx, parents, _, _ in self._levels:
-                to_child = (pi[:, parents] * lam[:, parents]
-                            * prodmsg[:, parents]) / msg[:, idx]
-                pi[:, idx] = np.einsum("ulp,lpc->ulc", to_child, self._pos_cpt[idx])
-        elif q > 1:
-            # zero messages possible (unsmoothed fits): per-node sweep with
-            # prefix/suffix sibling products, no division
-            for p in range(q):
-                kids = self._pos_children[p]
-                if not kids:
-                    continue
-                msgs = msg[:, kids, :]
-                pref = np.ones((U, len(kids) + 1, 2))
-                for i in range(len(kids)):
-                    pref[:, i + 1] = pref[:, i] * msgs[:, i]
-                suf = np.ones((U, len(kids) + 1, 2))
-                for i in range(len(kids) - 1, -1, -1):
-                    suf[:, i] = suf[:, i + 1] * msgs[:, i]
-                base = pi[:, p, :] * lam[:, p, :]
-                for i, c in enumerate(kids):
-                    pi[:, c, :] = (base * pref[:, i] * suf[:, i + 1]) @ self._pos_cpt[c]
+        for sl, parents, _, _ in self._levels:
+            m = msg[:, sl]
+            # a zero message makes its parent's product 0: the child gets 0
+            to_child = (pi[:, parents] * lam[:, parents] * prodmsg[:, parents]
+                        / np.where(m == 0.0, 1.0, m))
+            cpt = self._pos_cpt[sl]
+            pi[:, sl] = to_child[..., :1] * cpt[:, 0] + to_child[..., 1:] * cpt[:, 1]
 
         belief = lam * prodmsg * pi
         z = belief.sum(axis=2)
@@ -382,11 +359,11 @@ def chow_liu_fit(dataset, partition: GroupPartition, alpha: float = 1.0) -> Chow
 
 def tree_condition(tree: ChowLiuTree, query: int, evidence: dict[int, int]) -> float:
     """Exact P(query = 1 | evidence); an observed query returns its value."""
-    if query not in tree._children:
+    index = {v: i for i, v in enumerate(tree.nodes)}
+    if query not in index:
         raise ValueError(f"query node {query} is not a tree variable")
     if query in evidence:
         return float(int(evidence[query]))
-    index = {v: i for i, v in enumerate(tree.nodes)}
     ev = np.full((1, len(tree.nodes)), -1, dtype=np.int8)
     for v, val in evidence.items():
         if v not in index:

@@ -140,14 +140,30 @@ EDGE_EXTRA_JUNK = "#multiplex k=1 n=3\n0 0 1 0.5\n0 1 2 1.5 junk\n"
 MODEL_EXTRA_TOKEN = "#multiplex k=1 n=3\n@model 0 LT x\n0 0 1 0.5\n"
 MEMBER_EXTRA_TOKEN = "#multiplex k=1 n=3\n0 0 1 0.5\n!member 0 2 2\n"
 THETA_EXTRA_TOKEN = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 0.5\n@theta 0 1 0.5 0.1\n"
+SELF_LOOP = "#multiplex k=1 n=3\n0 0 1 0.5\n0 2 2 0.5\n"
+THETA_ON_IC = "#multiplex k=1 n=3\n0 0 1 0.5\n@theta 0 2 0.3\n"
+# a threshold may come before the line that makes its layer LT
+THETA_BEFORE_MODEL = "#multiplex k=1 n=3\n@theta 0 2 0.3\n0 0 1 0.5\n@model 0 LT\n"
+HEADER_UNKNOWN_KEY = "#multiplex k=1 n=3 foo=9\n0 0 1 0.5\n"
+# the reasoner-ic5-alpha0 golden at seed 2: alpha 0 fits unsmoothed trees, and
+# after phase 1 a phase-2 cascade shows evidence one of them gives probability 0
+ALPHA0_ZERO_EVIDENCE = {
+    "method": "mim-reasoner", "budget": 6, "m": 30, "seed": 2, "gamma": 1.0,
+    "alpha": 0.0, "clamp_mode": "clamp01", "generator": {
+        "layer_node_counts": [20, 24, 22, 26, 18], "total_edges": 300,
+        "overlap_percent": 0.5, "model_per_layer": ["IC"] * 5, "rng_seed": 7}}
 
 
 @pytest.mark.parametrize("doc, flags, network, code, error", [
     # every key the benchmark writes is accepted
     ({"method": "isf", "budget": 2, "m": 20, "gamma": 1.0, "refine": True,
       "restarts": 2, "seed": 1}, [], None, 0, None),
-    ({}, [], NEGATIVE_LT_WEIGHT, 2, None),
-    ({}, [], DUPLICATE_EDGE, 2, None),
+    ({}, [], NEGATIVE_LT_WEIGHT, 2, "line 3: LT weight must be >= 0"),
+    ({}, [], DUPLICATE_EDGE, 2, "line 3: duplicate edge, first on line 2"),
+    ({}, [], SELF_LOOP, 2, "line 3: self-loop"),
+    ({}, [], THETA_ON_IC, 2, "line 3: @theta on layer 0, which is not LT"),
+    ({}, [], THETA_BEFORE_MODEL, 0, None),
+    ({}, [], HEADER_UNKNOWN_KEY, 2, "line 1: unknown header key 'foo'"),
     ({}, [], BAD_PROB_FIRST, 2, "line 2: probability outside [0, 1]"),
     ({}, [], BAD_PROB_SECOND, 2, "line 4: probability outside [0, 1]"),
     ({}, [], EDGE_EXTRA_TOKEN, 2, "line 3:"),
@@ -181,7 +197,9 @@ THETA_EXTRA_TOKEN = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 0.5\n@theta 0 1 0.5 
     ({"method": "celf-single"}, ["--layer", "7"], None, 2, None),  # three layers
     ({"method": "celf-single"}, ["--layer", "-1"], None, 2, None),
     ({}, ["--exact"], None, 3, None),  # 90 IC edges exceed the exact guard
-], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "bad-prob-first",
+    (ALPHA0_ZERO_EVIDENCE, [], None, 3, "evidence has zero probability under the tree"),
+], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "self-loop",
+        "theta-on-ic", "theta-before-model", "header-unknown-key", "bad-prob-first",
         "bad-prob-second", "edge-extra-token", "edge-extra-junk", "model-extra-token",
         "member-extra-token", "theta-extra-token", "config-is-dir", "network-is-dir",
         "outdir-is-file", "reasoner-m-one", "ksn-m-one", "unknown-key",
@@ -189,7 +207,7 @@ THETA_EXTRA_TOKEN = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 0.5\n@theta 0 1 0.5 
         "kappa-zero", "restarts-zero", "tau-zero", "delta-negative",
         "budget-negative", "budget-string", "unknown-method", "bad-generator",
         "score-m-zero", "score-m-negative", "alpha-negative", "layer-above-range",
-        "layer-negative", "exact-guard"])
+        "layer-negative", "exact-guard", "alpha0-zero-evidence"])
 def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code, error):
     flags = [f.format(tmp=tmp_path) for f in flags]
     argv = ["solve", "--config", write_config(tmp_path, **{"method": "ksn", **doc}),

@@ -389,6 +389,7 @@ def joint_prob(tree, assign):
 
 
 def brute_condition(tree, query, evidence):
+    """P(query = 1 | evidence) by 2^q enumeration; None when P(evidence) = 0."""
     num = den = 0.0
     for vals in itertools.product([0, 1], repeat=len(tree.nodes)):
         assign = dict(zip(tree.nodes, vals))
@@ -398,7 +399,7 @@ def brute_condition(tree, query, evidence):
         den += p
         if assign[query] == 1:
             num += p
-    return num / den
+    return num / den if den else None
 
 
 def test_observed_query_returns_its_value(rng):
@@ -432,6 +433,179 @@ def test_inference_matches_joint_enumeration(rng):
             got = tree_condition(tree, query, ev)
             want = float(ev[query]) if query in ev else brute_condition(tree, query, ev)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_unsmoothed_inference_matches_joint_enumeration():
+    """alpha 0 CPTs hold zeros, so messages can be zero: exact within 1e-9,
+    and evidence the tree gives probability 0 raises."""
+    rng = np.random.default_rng(707)
+    checked = impossible = 0
+    while checked < 400:
+        q = int(rng.integers(2, 10))
+        m = int(rng.integers(6, 30))
+        data = (rng.random((m, q)) < rng.random(q) * 0.8 + 0.1).astype(np.uint8)
+        part = singleton_partition(data)
+        if len(part.tree_variables()) != q:
+            continue
+        tree = chow_liu_fit(data, part, alpha=0.0)
+        for _ in range(5):
+            k = int(rng.integers(0, q + 1))
+            ev_nodes = rng.choice(tree.nodes, size=k, replace=False)
+            ev = {int(v): int(rng.integers(0, 2)) for v in ev_nodes}
+            query = int(rng.choice(tree.nodes))
+            checked += 1
+            want = brute_condition(tree, query, ev)
+            if want is None:
+                impossible += 1
+                row = np.array([ev.get(v, -1) for v in tree.nodes], dtype=np.int8)
+                with pytest.raises(ValueError, match="zero probability"):
+                    tree.condition_batch(row)
+                continue
+            got = tree_condition(tree, query, ev)
+            assert abs(got - want) <= 1e-9, (q, ev, query, got, want)
+    assert impossible >= 20
+
+
+def condition_batch_reference(tree, evidence):
+    """The earlier BP kernel, kept as a referee: depth-first positions, einsum
+    messages, and two downward sweeps (dividing out a child's own message
+    when every message is positive, a per-node prefix/suffix loop else)."""
+    children = {v: sorted(c for c, p in tree.parent.items() if p == v)
+                for v in tree.nodes}
+    order, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    q = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    node_to_pos = np.array([pos[v] for v in tree.nodes], dtype=np.int64)
+    pos_parent = np.array([-1] + [pos[tree.parent[order[p]]] for p in range(1, q)],
+                          dtype=np.int64)
+    pos_children = [[pos[c] for c in children[v]] for v in order]
+    pos_cpt = np.empty((q, 2, 2))
+    pos_cpt[0] = np.stack([tree.root_marginal, tree.root_marginal])
+    for p in range(1, q):
+        pos_cpt[p] = tree.cpts[order[p]]
+    depth = np.zeros(q, dtype=np.int64)
+    for p in range(1, q):
+        depth[p] = depth[pos_parent[p]] + 1
+    levels = []
+    for d in range(1, int(depth.max()) + 1 if q > 1 else 1):
+        idx = np.flatnonzero(depth == d)
+        idx = idx[np.argsort(pos_parent[idx], kind="stable")]
+        parents = pos_parent[idx]
+        starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
+        levels.append((idx, parents, parents[starts], starts))
+
+    ev = np.asarray(evidence, dtype=np.int8).reshape(-1, q)
+    ev_topo = np.full_like(ev, -1)
+    ev_topo[:, node_to_pos] = ev
+    U = ev.shape[0]
+    lam = np.ones((U, q, 2))
+    lam[..., 1][ev_topo == 0] = 0.0
+    lam[..., 0][ev_topo == 1] = 0.0
+    prodmsg = np.ones((U, q, 2))
+    msg = np.empty((U, q, 2))
+    for idx, parents, par_uniq, starts in reversed(levels):
+        m = np.einsum("ulc,lpc->ulp", lam[:, idx] * prodmsg[:, idx], pos_cpt[idx])
+        msg[:, idx] = m
+        prodmsg[:, par_uniq] *= np.multiply.reduceat(m, starts, axis=1)
+    pi = np.empty((U, q, 2))
+    pi[:, 0, :] = tree.root_marginal
+    if q > 1 and msg[:, 1:].min() > 0.0:
+        for idx, parents, _, _ in levels:
+            to_child = (pi[:, parents] * lam[:, parents] * prodmsg[:, parents]) / msg[:, idx]
+            pi[:, idx] = np.einsum("ulp,lpc->ulc", to_child, pos_cpt[idx])
+    elif q > 1:
+        for p in range(q):
+            kids = pos_children[p]
+            if not kids:
+                continue
+            msgs = msg[:, kids, :]
+            pref = np.ones((U, len(kids) + 1, 2))
+            for i in range(len(kids)):
+                pref[:, i + 1] = pref[:, i] * msgs[:, i]
+            suf = np.ones((U, len(kids) + 1, 2))
+            for i in range(len(kids) - 1, -1, -1):
+                suf[:, i] = suf[:, i + 1] * msgs[:, i]
+            base = pi[:, p, :] * lam[:, p, :]
+            for i, c in enumerate(kids):
+                pi[:, c, :] = (base * pref[:, i] * suf[:, i + 1]) @ pos_cpt[c]
+    belief = lam * prodmsg * pi
+    z = belief.sum(axis=2)
+    if np.any(z <= 0.0):
+        raise ValueError("evidence has zero probability under the tree")
+    return (belief[..., 1] / z)[:, node_to_pos]
+
+
+def kernel_datasets(rng):
+    """Single-column, random, deep (noisy chain) and wide (noisy star) data."""
+    yield "single", np.array([[1], [0], [1], [1]], dtype=np.uint8)
+    for _ in range(8):
+        q = int(rng.integers(2, 30))
+        m = int(rng.integers(8, 60))
+        yield "random", (rng.random((m, q)) < rng.random(q) * 0.8 + 0.1).astype(np.uint8)
+        noise = rng.random((m, q)) < 0.15
+        hub = rng.random(m) < 0.5
+        yield "deep", (np.logical_xor.accumulate(noise, axis=1) ^ hub[:, None]).astype(np.uint8)
+        wide = noise ^ hub[:, None]
+        wide[:, 0] = hub
+        yield "wide", wide.astype(np.uint8)
+
+
+def evidence_batch(rng, q, rows=30):
+    """Mixed -1/0/1 rows, positive-only rows, and repeats of both."""
+    mixed = rng.integers(-1, 2, size=(rows, q))
+    mixed[rng.random((rows, q)) < 0.5] = -1
+    positive = np.where(rng.random((rows, q)) < 0.3, 1, -1)
+    ev = np.concatenate([mixed, positive, np.full((1, q), -1)]).astype(np.int8)
+    return np.concatenate([ev, ev[rng.integers(0, len(ev), size=rows)]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_condition_batch_matches_earlier_kernel_bit_for_bit(alpha):
+    rng = np.random.default_rng(int(alpha * 10) + 808)
+    depth, fan_out = {}, {}
+    for kind, data in kernel_datasets(rng):
+        part = singleton_partition(data)
+        if not part.tree_variables():
+            continue
+        tree = chow_liu_fit(data, part, alpha=alpha)
+        ev = evidence_batch(rng, len(tree.nodes))
+        got = tree.condition_batch(ev)
+        assert got.tobytes() == condition_batch_reference(tree, ev).tobytes(), kind
+        depth[kind] = max(depth.get(kind, 0), len(tree._levels))
+        fan_out[kind] = max([fan_out.get(kind, 0)]
+                            + [list(tree.parent.values()).count(v) for v in tree.nodes])
+    assert depth["single"] == 0 and depth["deep"] >= 12 and fan_out["wide"] >= 12
+
+
+def test_condition_batch_matches_earlier_kernel_unsmoothed():
+    """alpha 0: the same posteriors within 1e-12 and the same refusals."""
+    rng = np.random.default_rng(909)
+    compared = refused = 0
+    for kind, data in kernel_datasets(rng):
+        part = singleton_partition(data)
+        if not part.tree_variables():
+            continue
+        tree = chow_liu_fit(data, part, alpha=0.0)
+        feasible = []
+        for row in evidence_batch(rng, len(tree.nodes), rows=15):
+            try:
+                want = condition_batch_reference(tree, row)
+            except ValueError:
+                with pytest.raises(ValueError, match="zero probability"):
+                    tree.condition_batch(row)
+                refused += 1
+                continue
+            np.testing.assert_allclose(tree.condition_batch(row), want, rtol=0, atol=1e-12)
+            feasible.append(row)
+        ev = np.array(feasible)
+        np.testing.assert_allclose(tree.condition_batch(ev),
+                                   condition_batch_reference(tree, ev), rtol=0, atol=1e-12)
+        compared += len(feasible)
+    assert compared >= 300 and refused >= 20
 
 
 def test_inference_rejects_foreign_evidence(rng):
