@@ -52,7 +52,6 @@ class SolverConfig:
     refine: bool = False
     tau: float = 0.1
     restarts: int = 8
-    phase2: bool = True
     single_layer: int = 0
 
     def validate(self) -> None:
@@ -238,11 +237,22 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
     processed so far is recorded and a tree model fitted from it, so at most
     k - 1 models ever exist.
     """
+    return _two_phase(net, budget, cfg, shaped=True)
+
+
+def run_ksn(net: MultiplexNetwork, budget: int,
+            cfg: SolverConfig | None = None) -> Solution:
+    """Allocation-only baseline: union of the per-layer allocated prefixes."""
+    return _two_phase(net, budget, cfg, shaped=False)
+
+
+def _two_phase(net, budget, cfg, shaped: bool) -> Solution:
+    """Phase 1, then per layer the allocated prefix or, if `shaped`, phase 2."""
     cfg = cfg or SolverConfig()
     cfg.validate()
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if cfg.phase2 and net.num_layers >= 2 and cfg.m < 2:
+    if shaped and net.num_layers >= 2 and cfg.m < 2:
         raise ValueError(f"m must be >= 2 to fit tree models on {net.num_layers} "
                          f"layers, got {cfg.m}")
     t0 = time.perf_counter()
@@ -257,7 +267,7 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
         if layer is None:
             break
         j = alloc.budget_of(layer)
-        if not cfg.phase2 or not state.processed:
+        if not shaped or not state.processed:
             seeds = list(table.rows[layer][min(j, len(table.rows[layer]) - 1)].seeds)
         else:
             ctx = RewardContext(layer, state.models, cfg.clamp)
@@ -280,7 +290,7 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
         state.per_layer_seeds[layer] = seeds
         state.processed.append(layer)
 
-        if cfg.phase2 and state.remaining:  # no model after the final layer
+        if shaped and state.remaining:  # no model after the final layer
             seeds_so_far = sorted(set(itertools.chain.from_iterable(
                 state.per_layer_seeds.values())))
             data = record_status_dataset(
@@ -300,7 +310,7 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
     spread, cert = _final_certificate(net, union, cfg, beta)
     t3 = time.perf_counter()
     return Solution(
-        method=METHOD_REASONER if cfg.phase2 else METHOD_KSN,
+        method=METHOD_REASONER if shaped else METHOD_KSN,
         per_layer_seeds=state.per_layer_seeds,
         union_seeds=union,
         processing_order=state.processed,
@@ -313,16 +323,6 @@ def run_reasoner(net: MultiplexNetwork, budget: int,
         profit_table=table,
         wall_times={"phase1": t1 - t0, "phase2": t2 - t1, "evaluate": t3 - t2},
     )
-
-
-def run_ksn(net: MultiplexNetwork, budget: int,
-            cfg: SolverConfig | None = None) -> Solution:
-    """Allocation-only baseline: union of the per-layer allocated prefixes."""
-    cfg = cfg or SolverConfig()
-    ksn_cfg = SolverConfig(**{**cfg.__dict__, "phase2": False})
-    sol = run_reasoner(net, budget, ksn_cfg)
-    sol.method = METHOD_KSN
-    return sol
 
 
 def run_isf(net: MultiplexNetwork, budget: int,

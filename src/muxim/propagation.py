@@ -96,6 +96,17 @@ def _expand(indptr, at):
     return slot, (start - cnt.cumsum() + cnt)[slot] + np.arange(slot.size)
 
 
+def _layer_scope(net, layers):
+    """Sorted distinct layer ids, all for None; ValueError outside `net`."""
+    if layers is None:
+        return list(range(net.num_layers))
+    idx = sorted(set(int(i) for i in layers))
+    for i in idx:
+        if not (0 <= i < net.num_layers):
+            raise ValueError(f"layer {i} out of range")
+    return idx
+
+
 class CascadeWorlds:
     """A frozen batch of Monte Carlo worlds sharing one network.
 
@@ -147,15 +158,6 @@ class CascadeWorlds:
 
     # -- core closure ------------------------------------------------------
 
-    def _scope(self, layers):
-        if layers is None:
-            return list(range(self.net.num_layers))
-        idx = sorted(set(int(i) for i in layers))
-        for i in idx:
-            if not (0 <= i < self.net.num_layers):
-                raise ValueError(f"layer {i} out of range")
-        return idx
-
     def _adjacency(self, scope):
         """Out-edge CSRs of a layer scope as (ic, lt), built on first use.
 
@@ -201,7 +203,7 @@ class CascadeWorlds:
         `row * n + node` start keys, so rows can start from different nodes;
         those nodes must be inactive.
         """
-        scope = self._scope(layers)
+        scope = _layer_scope(self.net, layers)
         n = self.net.num_nodes
         world = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.int64)
         nrows = world.size
@@ -449,8 +451,7 @@ def _ic_edge_arrays(net, scope):
 
 
 def _exact_worlds(net, layers=None):
-    scope = sorted(set(int(i) for i in layers)) if layers is not None \
-        else list(range(net.num_layers))
+    scope = _layer_scope(net, layers)
     ic_edges = _ic_edge_arrays(net, scope)
     ne = len(ic_edges)
     if ne > EXACT_IC_EDGE_GUARD:

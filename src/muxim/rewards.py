@@ -10,10 +10,10 @@ merely re-activate well-covered nodes earn little.
 Shaped greedy keeps each world's current node scores.  Scores depend on a
 world only through which tree variables are active, so a candidate's
 extended world re-runs the models' conditionals only when one of them
-became active; every other world reuses its cached scores.  A candidate
-scan is one chunked `_Baseline.scan` over (candidate, world) rows, and
-evidence patterns are memoized by their packed flag bytes, each new one
-solved once in a batched message-passing run.
+became active; every other world reuses its cached scores.  Each chunk of
+a candidate scan keys those rows once per model by their packed flag bytes
+and solves its new evidence patterns in one batched message-passing run per
+model, memoized for one phase-2 layer in the `RewardContext`.
 """
 
 from __future__ import annotations
@@ -40,73 +40,78 @@ class ActivationModel:
                  corr: CorrelationMatrix, num_nodes: int):
         self.partition = partition
         self.tree = tree
-        n = num_nodes
-        self.rep_corr = np.ones(n)
-        kind_by_rep = dict(zip(partition.representatives, partition.kinds))
-        self.kind = np.zeros(n, dtype=np.int8)  # 0 tree, 1 always-on, 2 always-off
-        tree_nodes = list(tree.nodes) if tree is not None else []
-        slot = {v: i for i, v in enumerate(tree_nodes)}
-        self.tree_nodes = np.array(tree_nodes, dtype=np.int64)
-        self.rep_slot = np.full(n, -1, dtype=np.int64)
-        for u in range(n):
-            rep = int(partition.rep_of[u])
-            q = corr.values[u, rep]
-            self.rep_corr[u] = 1.0 if np.isnan(q) else float(q)
-            kind = kind_by_rep[rep]
-            if kind == GROUP_ALWAYS_ON:
-                self.kind[u] = 1
-            elif kind == GROUP_ALWAYS_OFF:
-                self.kind[u] = 2
-            else:
-                self.kind[u] = 0
-                self.rep_slot[u] = slot[rep]
+        rep = np.asarray(partition.rep_of, dtype=np.int64)
+        q = corr.values[np.arange(num_nodes), rep]
+        self.rep_corr = np.where(np.isnan(q), 1.0, q)
+        codes = {GROUP_ALWAYS_ON: 1, GROUP_ALWAYS_OFF: 2}
+        kind_of_rep = np.zeros(num_nodes, dtype=np.int8)
+        kind_of_rep[partition.representatives] = [codes.get(k, 0) for k in partition.kinds]
+        self.kind = kind_of_rep[rep]  # 0 tree, 1 always-on, 2 always-off
+        self.tree_nodes = np.array(list(tree.nodes) if tree is not None else [],
+                                   dtype=np.int64)
+        slot = np.full(num_nodes, -1, dtype=np.int64)
+        slot[self.tree_nodes] = np.arange(self.tree_nodes.size)
+        self.rep_slot = np.where(self.kind == 0, slot[rep], -1)
         self._fixed = np.where(self.kind == 1, 1.0, 0.0)
         self._tree_cols = np.flatnonzero(self.kind == 0)
         self._tree_slots = self.rep_slot[self._tree_cols]
-        self._memo: dict[bytes, np.ndarray] = {}
 
-    def _patterns(self, flags: np.ndarray):
-        """Distinct evidence patterns of (U, q) flags and each row's index.
+    def posteriors(self, flags: np.ndarray, memo: dict):
+        """Distinct evidence posteriors of (U, q) flag rows and each row's index.
 
-        A pattern's key is its `np.packbits` bytes.  Patterns missing from
-        the memo are solved, once each, in one batched message-passing run;
-        activation flags are positive-only evidence.
+        Each row is keyed once, by its `np.packbits` bytes; patterns missing
+        from `memo` are solved once each in one batched message-passing run,
+        with activation flags as positive-only evidence.
         """
         packed = np.ascontiguousarray(np.packbits(flags, axis=1))
         slot: dict[bytes, int] = {}
-        inverse = np.array([slot.setdefault(key, len(slot)) for key
-                            in packed.view(f"V{packed.shape[1]}").ravel().tolist()])
-        uniq = list(slot)
-        missing = [j for j, key in enumerate(uniq) if key not in self._memo]
+        index = np.array([slot.setdefault(key, len(slot)) for key
+                          in packed.view(f"V{packed.shape[1]}").ravel().tolist()],
+                         dtype=np.int64)
+        keys = list(slot)
+        missing = [j for j, key in enumerate(keys) if key not in memo]
         if missing:
-            first = np.unique(inverse, return_index=True)[1][missing]
+            first = np.unique(index, return_index=True)[1][missing]
             conds = self.tree.condition_batch(np.where(flags[first], 1, -1).astype(np.int8))
-            self._memo.update(zip((uniq[j] for j in missing), conds))
-        return uniq, inverse
+            memo.update(zip((keys[j] for j in missing), conds))
+        return np.stack([memo[key] for key in keys]), index
 
-    def conditionals_matrix(self, active: np.ndarray) -> np.ndarray:
-        """P(representative already active | cascade evidence), per world and node.
+    def conditionals_matrix(self, active: np.ndarray, memo: dict | None = None,
+                            keyed=None) -> np.ndarray:
+        """P(representative already active | cascade evidence), per row and node.
 
-        Evidence observes the representatives a world's cascade activated as
-        1; unactivated representatives stay unobserved rather than being
-        read as negative evidence.  Worlds sharing an evidence pattern share
-        one message-passing run.
+        Evidence observes the representatives a row's cascade activated as
+        1; unactivated ones stay unobserved rather than negative evidence.
+        `keyed` is these rows' `posteriors` if the caller has them; else they
+        are keyed here, through `memo` if one is given.
         """
         out = np.broadcast_to(self._fixed, (active.shape[0], self._fixed.size)).copy()
-        if self.tree is not None and self.tree_nodes.size:
-            uniq, inverse = self._patterns(active[:, self.tree_nodes])
-            conds = np.stack([self._memo[key] for key in uniq])[inverse]
-            out[:, self._tree_cols] = conds[:, self._tree_slots]
+        if self.tree_nodes.size:
+            if keyed is None:
+                keyed = self.posteriors(active[:, self.tree_nodes],
+                                        {} if memo is None else memo)
+            post, index = keyed
+            out[:, self._tree_cols] = post[index[:, None], self._tree_slots]
         return out
 
 
 @dataclass
 class RewardContext:
-    """Everything the shaped objective needs about previously done layers."""
+    """Everything the shaped objective needs about previously done layers.
+
+    `memos` holds each model's solved evidence patterns.  They are made with
+    the context and live as long as it does: one phase-2 layer.  `models` is
+    copied, so a caller's later appends to its own list keep them aligned.
+    """
 
     layer: int
     models: list[ActivationModel] = field(default_factory=list)
     clamp: str = CLAMP_RAW
+    memos: list[dict] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.models = list(self.models)
+        self.memos = [{} for _ in self.models]
 
 
 def activation_score(u: int, activated, ctx: RewardContext) -> float:
@@ -118,25 +123,21 @@ def activation_score(u: int, activated, ctx: RewardContext) -> float:
     else:
         row = np.zeros(ctx.models[0].rep_corr.size, dtype=bool)
         row[list(activated)] = True
-    return float(activation_scores(row, np.array([int(u)]), ctx)[0])
+    return float(node_scores(row[None, :], ctx)[0, int(u)])
 
 
-def activation_scores(active_row: np.ndarray, node_idx: np.ndarray,
-                      ctx: RewardContext) -> np.ndarray:
-    """Vectorized scores for the given nodes under one cascade outcome."""
-    return node_scores(active_row[None, :], ctx)[0, node_idx]
-
-
-def node_scores(active: np.ndarray, ctx: RewardContext) -> np.ndarray:
+def node_scores(active: np.ndarray, ctx: RewardContext, keyed=None) -> np.ndarray:
     """(rows, n) score of every node under each row of activation flags.
 
     Per node, the model with the largest conditional wins (earlier models
     win ties) and contributes its own Pearson weight.  A row's scores depend
-    only on its flags at the models' tree variables.
+    only on its flags at the models' tree variables.  `keyed` holds each
+    model's `posteriors` of the rows (None for a model without a tree) when
+    the caller has keyed them.
     """
     best = weight = None
-    for mdl in ctx.models:
-        cond = mdl.conditionals_matrix(active)
+    for j, (mdl, memo) in enumerate(zip(ctx.models, ctx.memos)):
+        cond = mdl.conditionals_matrix(active, memo, None if keyed is None else keyed[j])
         if best is None:
             best, weight = cond, np.broadcast_to(mdl.rep_corr, cond.shape).copy()
         else:
@@ -198,7 +199,9 @@ def step_reward(net: MultiplexNetwork, layer: int, seeds, v: int,
 # Pearson weight and one model's conditionals
 _SCORE_ROWS = 4
 # bytes an engine row's pattern key holds per tree model: a short Python
-# bytes object, its list slot and its index among the distinct patterns.
+# bytes object, its list slot and its index among the chunk's distinct
+# patterns.  Until its slice is scored, a chunk keeps only that index and
+# the distinct patterns' posteriors, at most one per changed row.
 # Besides its state, a row of the shaped scan also holds one byte per tree
 # variable thrice: its flags, its world's and their comparison.
 _KEY_BYTES = 64
@@ -218,11 +221,9 @@ class _ShapedObjective:
         self.m = worlds.m
         self.weights = worlds.weights
         self.base = worlds.baseline([], layers=[layer])
-        self.tree_models = [mdl for mdl in ctx.models
-                            if mdl.tree is not None and mdl.tree_nodes.size]
-        self.tree_vars = np.unique(np.concatenate(
-            [np.empty(0, dtype=np.int64)] + [mdl.tree_nodes for mdl in self.tree_models]))
-        self.row_bytes = 3 * self.tree_vars.size + _KEY_BYTES * len(self.tree_models)
+        tree_nodes = [mdl.tree_nodes for mdl in ctx.models if mdl.tree_nodes.size]
+        self.tree_vars = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + tree_nodes))
+        self.row_bytes = 3 * self.tree_vars.size + _KEY_BYTES * len(tree_nodes)
         self.step = max(1, propagation.GAIN_CHUNK_BYTES
                         // (8 * _SCORE_ROWS * worlds.net.num_nodes))
         self.flags = self.base.active[:, self.tree_vars]
@@ -235,34 +236,35 @@ class _ShapedObjective:
             return float(self.rows @ self.weights)
         return float(self.rows.mean())
 
-    def _changed(self, world, active):
-        """Rows whose tree-variable flags differ from their baseline world's."""
-        return np.flatnonzero((active[:, self.tree_vars] != self.flags[world]).any(axis=1))
+    def _rescored(self, world, active):
+        """(slice, scores) of closed rows `active` extending worlds `world`.
 
-    def _scores(self, world, active):
-        """Scores of closed rows that extend the baseline worlds `world`."""
-        w = self.w[world]
-        changed = self._changed(world, active)
-        if changed.size:
-            w[changed] = node_scores(active[changed], self.ctx)
-        return w
+        Rows whose tree-variable flags match their world's keep its scores.
+        The others are keyed once per tree model, their new evidence patterns
+        solved in one batch per model, and scored in slices whose float
+        temporaries fit in GAIN_CHUNK_BYTES.
+        """
+        changed = np.flatnonzero((active[:, self.tree_vars] != self.flags[world]).any(axis=1))
+        keyed = [mdl.posteriors(active[changed[:, None], mdl.tree_nodes], memo)
+                 if changed.size and mdl.tree_nodes.size else None
+                 for mdl, memo in zip(self.ctx.models, self.ctx.memos)]
+        for s in range(0, world.size, self.step):
+            part = slice(s, s + self.step)
+            w = self.w[world[part]]
+            lo, hi = np.searchsorted(changed, (s, s + self.step))
+            if hi > lo:
+                rows = changed[lo:hi]
+                w[rows - s] = node_scores(active[rows], self.ctx, [
+                    None if k is None else (k[0], k[1][lo:hi]) for k in keyed])
+            yield part, w
 
     def gains(self, nodes) -> np.ndarray:
-        """Shaped gain of each of `nodes`, bit for bit a lone gain's.
-
-        Each engine chunk of the scan first solves its new evidence
-        patterns, one batch per model; its rows are then scored in slices
-        whose float temporaries fit in GAIN_CHUNK_BYTES.
-        """
+        """Shaped gain of each of `nodes`, bit for bit a lone gain's."""
         chunks = []
         for cand, world, active in self.base.scan(nodes, self.row_bytes):
-            changed = self._changed(world, active)
-            for mdl in self.tree_models:
-                mdl._patterns(active[:, mdl.tree_nodes][changed])
-            for s in range(0, world.size, self.step):
-                sub, closed = world[s:s + self.step], active[s:s + self.step]
-                delta = _values(self._scores(sub, closed), closed) - self.rows[sub]
-                chunks.append((cand[s:s + self.step], sub, delta))
+            for part, w in self._rescored(world, active):
+                sub, closed = world[part], active[part]
+                chunks.append((cand[part], sub, _values(w, closed) - self.rows[sub]))
         return self.base.sum_gains(len(nodes), chunks)
 
     def gain(self, v: int) -> float:
@@ -271,12 +273,11 @@ class _ShapedObjective:
     def accept(self, v: int) -> None:
         world = np.flatnonzero(~self.base.active[:, v])
         self.base.accept(v)
-        if world.size:
-            active = self.base.active[world]
-            w = self._scores(world, active)
-            self.w[world] = w
-            self.flags[world] = active[:, self.tree_vars]
-            self.rows[world] = _values(w, active)
+        active = self.base.active[world]
+        for part, w in self._rescored(world, active):
+            self.w[world[part]] = w
+            self.rows[world[part]] = _values(w, active[part])
+        self.flags[world] = active[:, self.tree_vars]
 
 
 def reward_shaped_greedy(net: MultiplexNetwork, layer: int, budget: int,
@@ -326,7 +327,11 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
     if greedy_picks is None:
         greedy_picks, _ = reward_shaped_greedy(net, layer, budget, nodes, ctx,
                                                worlds=worlds)
-    rollouts = [list(greedy_picks)]
+    # each rollout is scored by the objective that built it; greedy is replayed
+    obj = _ShapedObjective(layer, ctx, worlds)
+    for v in greedy_picks:
+        obj.accept(v)
+    best, best_value = list(greedy_picks), obj.value
     for _ in range(restarts - 1):
         obj = _ShapedObjective(layer, ctx, worlds)
         picks: list[int] = []
@@ -345,14 +350,6 @@ def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
                 v = remaining[int(rng.choice(len(remaining), p=p / p.sum()))]
             obj.accept(v)
             picks.append(v)
-        rollouts.append(picks)
-
-    def final_value(picks):
-        obj = _ShapedObjective(layer, ctx, worlds)
-        for v in picks:
-            obj.accept(v)
-        return obj.value
-
-    values = [final_value(p) for p in rollouts]
-    best = int(np.argmax(values))  # ties go to the earliest rollout (greedy)
-    return rollouts[best]
+        if obj.value > best_value:  # ties go to the earliest rollout (greedy)
+            best, best_value = picks, obj.value
+    return best

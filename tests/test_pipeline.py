@@ -119,9 +119,17 @@ def test_ksn_equals_reasoner_with_phase2_disabled():
     net = small_net(seed=7)
     cfg = small_cfg(seed=7)
     ksn = run_ksn(net, 4, cfg)
-    off = run_reasoner(net, 4, SolverConfig(**{**cfg.__dict__, "phase2": False}))
-    assert ksn.union_seeds == off.union_seeds
-    assert ksn.method == "ksn"
+    reasoner = run_reasoner(net, 4, cfg)
+    # the same phase 1; every layer then keeps its allocated greedy prefix
+    assert ksn.allocation.rows == reasoner.allocation.rows
+    for layer, seeds in ksn.per_layer_seeds.items():
+        prefixes = ksn.profit_table.rows[layer]
+        assert seeds == list(prefixes[min(ksn.allocation.budget_of(layer),
+                                          len(prefixes) - 1)].seeds)
+    first = reasoner.processing_order[0]
+    assert ksn.per_layer_seeds[first] == reasoner.per_layer_seeds[first]
+    assert ksn.union_seeds == sorted(set().union(*ksn.per_layer_seeds.values()))
+    assert (ksn.method, ksn.reward_trace, ksn.models) == ("ksn", [], [])
 
 
 def test_isf_single_layer_equals_greedy():

@@ -125,6 +125,30 @@ def test_exact_guard_rejects_large_instances():
     assert exact_spread(net, [0]) >= 1.0
 
 
+
+EXACT_CALLS = {
+    "exact_worlds": lambda net, layers: exact_worlds(net, layers=layers),
+    "exact_spread": lambda net, layers: exact_spread(net, [0], layers=layers),
+    "exact_activation_probabilities":
+        lambda net, layers: exact_activation_probabilities(net, [0], layers=layers),
+}
+
+
+@pytest.mark.parametrize("layers, bad", [([5], 5), ([7], 7), ([-1], -1), ([0, 3], 3)])
+@pytest.mark.parametrize("call", sorted(EXACT_CALLS))
+def test_exact_enumeration_rejects_layers_out_of_range(call, layers, bad):
+    # the last layer alone exceeds the exact guard, so a scope that read
+    # layer -1 as the last layer would fail with a GuardError instead
+    n = 8
+    dense = [(a, b) for a in range(n) for b in range(n)
+             if a != b][:propagation.EXACT_IC_EDGE_GUARD + 4]
+    net = MultiplexNetwork(n, [make_layer(0, IC, [(0, 1)], n, probs=[0.5]),
+                               make_layer(1, IC, [(1, 2)], n, probs=[0.5]),
+                               make_layer(2, IC, dense, n, probs=np.full(len(dense), 0.5))],
+                           np.ones((3, n), dtype=bool))
+    with pytest.raises(ValueError, match=f"^layer {bad} out of range$"):
+        EXACT_CALLS[call](net, layers)
+
 def test_monte_carlo_tracks_exact_oracle(rng):
     for trial in range(5):
         net = random_guarded_instance(rng, max_nodes=8, max_ic_edges=10,

@@ -3,14 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from muxim.network import IC, LT, MultiplexNetwork
-from muxim.pgm import (chow_liu_fit, pearson_matrix, tree_condition,
+from muxim import pipeline, rewards
+from muxim.network import IC, LT, GeneratorConfig, MultiplexNetwork, generate_synthetic
+from muxim.pgm import (GROUP_ALWAYS_OFF, GROUP_ALWAYS_ON, GROUP_CORRELATED,
+                       ChowLiuTree, chow_liu_fit, pearson_matrix, tree_condition,
                        variable_grouping)
 from muxim import propagation
 from muxim.propagation import CascadeWorlds, exact_worlds, record_status_dataset
 from muxim.rewards import (ActivationModel, RewardContext, _ShapedObjective,
                            activation_score, reward_shaped_greedy, shaped_spread,
                            shaped_value_rows, step_reward, stochastic_refinement)
+from muxim.pipeline import SolverConfig, run_reasoner
 from muxim.seeding import celf_greedy
 
 from conftest import (make_layer, random_guarded_instance, single_layer_net,
@@ -364,3 +367,198 @@ def test_refinement_reuses_callers_greedy_picks(rng):
     assert stochastic_refinement(net, 3, 3, nodes, ctx, rng=7, greedy_picks=picks,
                                  **kwargs) == \
         stochastic_refinement(net, 3, 3, nodes, ctx, rng=7, **kwargs)
+
+
+def _record_keys_and_patterns(monkeypatch):
+    """Lists of (model, rows keyed) and (tree id, evidence row bytes solved)."""
+    keyed, solved = [], []
+    posteriors, condition_batch = ActivationModel.posteriors, ChowLiuTree.condition_batch
+
+    def counted_posteriors(self, flags, memo):
+        keyed.append((self, flags.shape[0]))
+        return posteriors(self, flags, memo)
+
+    def counted_condition_batch(self, evidence):
+        solved.extend((id(self), row.tobytes()) for row in evidence)
+        return condition_batch(self, evidence)
+
+    monkeypatch.setattr(ActivationModel, "posteriors", counted_posteriors)
+    monkeypatch.setattr(ChowLiuTree, "condition_batch", counted_condition_batch)
+    return keyed, solved
+
+
+@pytest.mark.parametrize("kind", ["ic", "lt", "mixed"])
+def test_scan_keys_each_changed_row_once(kind, monkeypatch):
+    monkeypatch.setattr(propagation, "GAIN_CHUNK_BYTES", 4000)
+    net, models = _model_stack(kind, 3, 1.0, 14, pinned=False)
+    keyed, solved = _record_keys_and_patterns(monkeypatch)
+    obj = _ShapedObjective(3, RewardContext(3, models), CascadeWorlds(net, 150, 3))
+    assert any(mdl.tree_nodes.size for mdl in models)
+    nodes = list(range(net.num_nodes))
+    total = 0
+    for _ in range(3):
+        changed = 0
+        for v in nodes:
+            world, sub, _ = obj.base.extend_rows(v)
+            changed += int((sub[:, obj.tree_vars] != obj.flags[world]).any(axis=1).sum())
+        keyed.clear()
+        gains = obj.gains(nodes)
+        for mdl in models:
+            want = changed if mdl.tree_nodes.size else 0
+            assert sum(rows for who, rows in keyed if who is mdl) == want
+        total += changed
+        obj.accept(nodes.pop(int(np.argmax(gains))))
+    assert total > 0
+    # over the context's life, every tree solves each evidence pattern once
+    assert len(set(solved)) == len(solved) > 0
+
+
+def test_memo_lives_in_the_reward_context():
+    net, models = _model_stack("mixed", 2, 1.0, 5, pinned=False)
+    assert models[0].tree_nodes.size
+    worlds = CascadeWorlds(net, 40, 9)
+    own = models[:1]
+    first = RewardContext(3, own)
+    own.append(models[1])  # the caller's list grows after the context is made
+    assert first.models == models[:1] and len(first.memos) == 1
+    second = RewardContext(3, models)
+    reward_shaped_greedy(net, 3, 3, range(net.num_nodes), first, worlds=worlds)
+    assert first.memos[0] and not any(second.memos)
+    assert first.memos[0] is not second.memos[0]
+    for mdl in models:
+        assert not any(isinstance(v, dict) for v in vars(mdl).values())
+
+
+def test_reasoner_contexts_keep_models_and_memos_aligned(monkeypatch):
+    made = []
+
+    class Recorded(RewardContext):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    monkeypatch.setattr(pipeline, "RewardContext", Recorded)
+    net = generate_synthetic(GeneratorConfig([12, 16, 20], 90, 0.5, [IC] * 3, rng_seed=5))
+    sol = run_reasoner(net, 5, SolverConfig(m=60, master_seed=5, gamma=1.0, refine=True))
+    # run_reasoner appends each layer's model to the list the contexts came from
+    assert [len(ctx.models) for ctx in made] == [1, 2] and len(sol.models) == 2
+    for ctx in made:
+        assert ctx.models == sol.models[:len(ctx.models)]
+        assert len(ctx.memos) == len(ctx.models)
+        assert [bool(memo) for memo in ctx.memos] == \
+            [bool(mdl.tree_nodes.size) for mdl in ctx.models]
+
+
+def _per_node_fields(partition, tree, corr, n):
+    """rep_corr, kind and rep_slot filled node by node."""
+    rep_corr, kind = np.ones(n), np.zeros(n, dtype=np.int8)
+    rep_slot = np.full(n, -1, dtype=np.int64)
+    kind_by_rep = dict(zip(partition.representatives, partition.kinds))
+    slot = {v: i for i, v in enumerate(tree.nodes if tree is not None else [])}
+    for u in range(n):
+        rep = int(partition.rep_of[u])
+        q = corr.values[u, rep]
+        rep_corr[u] = 1.0 if np.isnan(q) else float(q)
+        if kind_by_rep[rep] == GROUP_ALWAYS_ON:
+            kind[u] = 1
+        elif kind_by_rep[rep] == GROUP_ALWAYS_OFF:
+            kind[u] = 2
+        else:
+            rep_slot[u] = slot[rep]
+    return rep_corr, kind, rep_slot
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("constant_only", [False, True])
+def test_activation_model_fields_match_per_node_loop(seed, constant_only):
+    rng = np.random.default_rng(seed)
+    n = 14
+    latent = rng.random((80, 3)) < 0.5
+    data = latent[:, rng.integers(0, 3, n)] ^ (rng.random((80, n)) < 0.1)
+    on, off = np.split(rng.choice(n, 4, replace=False), 2)
+    data[:, on], data[:, off] = True, False
+    if constant_only:  # no correlated group, so no tree
+        data[:] = rng.random(n) < 0.5
+    data = data.astype(np.uint8)
+    corr = pearson_matrix(data)
+    part = variable_grouping(data, corr, 0.6)
+    tree = chow_liu_fit(data, part, 1.0) if part.tree_variables() else None
+    kinds = {GROUP_ALWAYS_ON, GROUP_ALWAYS_OFF} | ({GROUP_CORRELATED} if not constant_only
+                                                  else set())
+    assert set(part.kinds) == kinds and np.isnan(corr.values).any()
+    model = ActivationModel(part, tree, corr, n)
+    rep_corr, kind, rep_slot = _per_node_fields(part, tree, corr, n)
+    assert model.rep_corr.tobytes() == rep_corr.tobytes()
+    assert model.kind.tobytes() == kind.tobytes()
+    assert model.rep_slot.tobytes() == rep_slot.tobytes()
+
+
+def _refine_replaying_every_rollout(layer, budget, nodes, ctx, worlds, temperature,
+                                    restarts, rng, greedy_picks):
+    """Softmax rollouts, each re-scored by a fresh replay; best value wins."""
+    rollouts = [list(greedy_picks)]
+    for _ in range(restarts - 1):
+        obj = _ShapedObjective(layer, ctx, worlds)
+        picks = []
+        while len(picks) < budget:
+            remaining = [v for v in nodes if v not in picks]
+            if not remaining:
+                break
+            gains = obj.gains(remaining)
+            if gains.max() <= 0.0:
+                break
+            if temperature < 1e-9:
+                v = remaining[int(np.lexsort((remaining, -gains))[0])]
+            else:
+                p = np.exp((gains - gains.max()) / temperature)
+                v = remaining[int(rng.choice(len(remaining), p=p / p.sum()))]
+            obj.accept(v)
+            picks.append(v)
+        rollouts.append(picks)
+
+    def final_value(picks):
+        obj = _ShapedObjective(layer, ctx, worlds)
+        for v in picks:
+            obj.accept(v)
+        return obj.value
+
+    return rollouts[int(np.argmax([final_value(p) for p in rollouts]))]
+
+
+@pytest.mark.parametrize("kind, seed", [("ic", 1), ("lt", 2), ("mixed", 3), ("mixed", 4)])
+def test_refinement_scores_rollouts_by_their_own_objective(kind, seed, monkeypatch):
+    net, models = _model_stack(kind, 2, 1.0, seed, pinned=False)
+    worlds = CascadeWorlds(net, 40, seed)
+    nodes = list(range(net.num_nodes))
+    built = []
+
+    class Recorded(_ShapedObjective):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.accepted = []
+            built.append(self)
+
+        def accept(self, v):
+            super().accept(v)
+            self.accepted.append(v)
+
+    monkeypatch.setattr(rewards, "_ShapedObjective", Recorded)
+    for temperature in (1e-10, 0.05, 0.3, 2.0):
+        ctx = RewardContext(3, models)
+        greedy, _ = reward_shaped_greedy(net, 3, 3, nodes, ctx, worlds=worlds)
+        want = _refine_replaying_every_rollout(
+            3, 3, nodes, RewardContext(3, models), worlds, temperature, 5,
+            np.random.default_rng(seed), greedy)
+        built.clear()
+        got = stochastic_refinement(net, 3, 3, nodes, ctx, worlds=worlds,
+                                    temperature=temperature, restarts=5, rng=seed,
+                                    greedy_picks=greedy)
+        assert got == want
+        assert len(built) == 5  # the greedy replay and four rollouts
+        assert built[0].accepted == greedy
+        for obj in built:
+            fresh = _ShapedObjective(3, RewardContext(3, models), worlds)
+            for v in obj.accepted:
+                fresh.accept(v)
+            assert fresh.rows.tobytes() == obj.rows.tobytes()
+            assert fresh.value == obj.value
