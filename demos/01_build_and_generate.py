@@ -5,6 +5,9 @@ node identities.  A node that belongs to several layers is an overlap node:
 activating it anywhere activates it everywhere it belongs.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from muxim import (GeneratorConfig, MultiplexNetwork, generate_synthetic,
@@ -39,7 +42,9 @@ print("per-layer edges:", [l.num_edges for l in synth.layers])
 print("padded slot total:", synth.meta["generator"]["pre_merge_total_nodes"])
 
 # --- file round trip ----------------------------------------------------------
-digest = save_multiplex(synth, "/tmp/demo_network.mux")
-again = load_multiplex("/tmp/demo_network.mux")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_network.mux")
+    digest = save_multiplex(synth, path)
+    again = load_multiplex(path)
 print("\nsaved with sha256", digest[:16], "...")
 print("round-trip structurally equal:", synth.structurally_equal(again))

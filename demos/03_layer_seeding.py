@@ -18,24 +18,23 @@ net = generate_synthetic(GeneratorConfig([40, 60], 340, 0.4, [IC, IC],
                                          rng_seed=11))
 worlds = CascadeWorlds(net, 100, 0)
 
-picks = celf_greedy(net, layer=1, budget=5,
-                    candidates=np.flatnonzero(net.member[1]).tolist(),
-                    worlds=worlds)
+picks = celf_greedy(worlds, layer=1, budget=5,
+                    candidates=np.flatnonzero(net.member[1]).tolist())
 print("greedy picks on layer 1:", picks)
 base = worlds.baseline([], layers=[1])
 for v in picks:
     base.accept(v)
 print("layer-1 spread of the picks: %.2f" % base.mean_count())
 
-runs = probabilistic_greedy(net, layer=1, budget=5, restarts=6,
-                            convergence=0.0, rng=3, worlds=worlds)
+runs = probabilistic_greedy(worlds, layer=1, budget=5, restarts=6,
+                            convergence=0.0, rng=3)
 print("\nrandomized runs:", runs)
-scored = candidate_scores(runs, net, layer=1, worlds=worlds)
+scored = candidate_scores(worlds, runs, layer=1)
 print("top scored candidates:",
       list(zip(scored.nodes[:6], [round(s, 3) for s in scored.scores[:6]])))
 
 pruned = select_candidates(scored, net, layer=1, gamma=0.25)
 print("\npruned pool keeps", len(pruned), "of",
       int(net.member[1].sum()), "members")
-picks2 = celf_greedy(net, 1, 5, pruned, worlds=worlds)
+picks2 = celf_greedy(worlds, 1, 5, pruned)
 print("greedy over the pruned pool:", picks2)

@@ -18,7 +18,7 @@ budget = 6
 
 candidates = [select_candidates(None, net, i, gamma=1.0)
               for i in range(net.num_layers)]
-table = build_profit_cost_table(net, candidates, budget, worlds=worlds)
+table = build_profit_cost_table(worlds, candidates, budget)
 for i, rows in enumerate(table.rows):
     profile = ", ".join(f"{r.cost}:{r.profit:.1f}" for r in rows)
     print(f"layer {i} cost:profit  {profile}")

@@ -14,8 +14,8 @@ import os
 import sys
 import time
 
-from .network import (GeneratorConfig, generate_synthetic, load_multiplex,
-                      overlap_count, save_multiplex)
+from .network import (GeneratorConfig, MultiplexNetwork, generate_synthetic,
+                      load_multiplex, overlap_count, save_multiplex)
 from .pipeline import (METHOD_CELF_SINGLE, METHOD_ISF, METHOD_KSN,
                        METHOD_REASONER, RatioCertificate, SolverConfig,
                        exhaustive_optimum, run_reasoner, solve)
@@ -114,27 +114,32 @@ def _resolve_network(doc: dict, args):
     if not gen:
         raise _CliError(EXIT_USAGE,
                         {"error": "config needs a 'network' path or 'generator' block"})
+    return _generate(gen)
+
+
+def _generate(gen) -> MultiplexNetwork:
+    """The network a generator block describes; a bad block is a usage error."""
     try:
-        return generate_synthetic(_generator_config(gen))
-    except (KeyError, TypeError, ValueError) as exc:
+        return generate_synthetic(GeneratorConfig(
+            layer_node_counts=gen["layer_node_counts"],
+            total_edges=gen["total_edges"],
+            overlap_percent=gen["overlap_percent"],
+            model_per_layer=gen["model_per_layer"],
+            rng_seed=gen.get("rng_seed", 0),
+            layer_edge_counts=gen.get("layer_edge_counts"),
+            allow_padding=gen.get("allow_padding", True),
+        ))
+    except KeyError as exc:
+        raise _CliError(EXIT_USAGE, {"error": f"bad generator config: missing key {exc}"})
+    except (TypeError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, {"error": f"bad generator config: {exc}"})
-
-
-def _generator_config(gen: dict) -> GeneratorConfig:
-    return GeneratorConfig(
-        layer_node_counts=gen["layer_node_counts"],
-        total_edges=gen["total_edges"],
-        overlap_percent=gen["overlap_percent"],
-        model_per_layer=gen["model_per_layer"],
-        rng_seed=gen.get("rng_seed", 0),
-        layer_edge_counts=gen.get("layer_edge_counts"),
-        allow_padding=gen.get("allow_padding", True),
-    )
 
 
 def cmd_generate(args) -> int:
     doc = _load_config(args.config)
     gen = doc.get("generator", {})
+    if not isinstance(gen, dict):
+        raise _CliError(EXIT_USAGE, {"error": "bad generator config: not a JSON object"})
     if args.preset == "table1-3layer":
         gen = {"layer_node_counts": [500, 2000, 2500], "total_edges": 25000,
                "overlap_percent": gen.get("overlap_percent", 0.3),
@@ -144,13 +149,7 @@ def cmd_generate(args) -> int:
         gen["overlap_percent"] = args.overlap
     if args.seed is not None:
         gen["rng_seed"] = args.seed
-    try:
-        cfg = _generator_config(gen)
-        cfg.validate()
-        net = generate_synthetic(cfg)
-    except (KeyError, ValueError) as exc:
-        print(json.dumps({"error": f"bad generator config: {exc}"}))
-        return EXIT_USAGE
+    net = _generate(gen)
     out = args.output or "network.mux"
     digest = save_multiplex(net, out)
     manifest = {

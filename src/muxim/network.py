@@ -164,19 +164,37 @@ class GeneratorConfig:
     allow_padding: bool = True
 
     def validate(self) -> None:
-        if not self.layer_node_counts or min(self.layer_node_counts) <= 0:
-            raise ValueError("layer node counts must be positive")
+        """Raise ValueError naming the first field outside its type or domain."""
+        def integer(v):
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+        def counts(name, values, low):
+            if not isinstance(values, (list, tuple)) or not values \
+                    or not all(integer(v) and v >= low for v in values):
+                raise ValueError(f"{name} must be a non-empty list of integers "
+                                 f">= {low}, got {values!r}")
+            if len(values) != len(self.layer_node_counts):
+                raise ValueError(f"{name} length must match layer count")
+
+        counts("layer_node_counts", self.layer_node_counts, 1)
+        if not isinstance(self.model_per_layer, (list, tuple)):
+            raise ValueError(f"model_per_layer must be a list, got {self.model_per_layer!r}")
         if len(self.model_per_layer) != len(self.layer_node_counts):
             raise ValueError("model_per_layer length must match layer count")
         for m in self.model_per_layer:
             if m not in (IC, LT):
                 raise ValueError(f"unknown model {m!r}")
-        if not (0.0 <= self.overlap_percent <= 1.0):
-            raise ValueError("overlap_percent must be in [0, 1]")
-        if self.total_edges < 0:
-            raise ValueError("total_edges must be nonnegative")
-        if self.layer_edge_counts is not None and len(self.layer_edge_counts) != len(self.layer_node_counts):
-            raise ValueError("layer_edge_counts length must match layer count")
+        p = self.overlap_percent
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"overlap_percent must be a number in [0, 1], got {p!r}")
+        for name in ("total_edges", "rng_seed"):
+            if not integer(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be an integer >= 0, "
+                                 f"got {getattr(self, name)!r}")
+        if self.layer_edge_counts is not None:
+            counts("layer_edge_counts", self.layer_edge_counts, 0)
+        if not isinstance(self.allow_padding, bool):
+            raise ValueError(f"allow_padding must be true or false, got {self.allow_padding!r}")
 
 
 def _split_edge_budget(cfg: GeneratorConfig) -> list[int]:

@@ -22,7 +22,7 @@ from .knapsack import BudgetAllocationTable, solve_mckp
 from .network import MultiplexNetwork
 from .pgm import chow_liu_fit, pearson_matrix, variable_grouping
 from .propagation import (CascadeWorlds, GuardError, SpreadEstimate,
-                          estimate_spread, exact_worlds,
+                          _layer_scope, estimate_spread, exact_worlds,
                           record_status_dataset)
 from .rewards import (CLAMP_01, CLAMP_RAW, ActivationModel, RewardContext,
                       reward_shaped_greedy, shaped_spread, stochastic_refinement)
@@ -58,6 +58,7 @@ class SolverConfig:
         """Raise ValueError naming the first knob outside its domain."""
         rules = (
             ("m", int, lambda v: v >= 1, ">= 1"),
+            ("master_seed", int, lambda v: v >= 0, ">= 0"),
             ("xi", float, lambda v: 0 < v <= 1, "in (0, 1]"),
             ("gamma", float, lambda v: v > 0, "> 0"),
             ("kappa", int, lambda v: v >= 1, ">= 1"),
@@ -76,6 +77,8 @@ class SolverConfig:
                                  f"{domain}, got {value!r}")
         if self.clamp not in (CLAMP_RAW, CLAMP_01):
             raise ValueError(f"clamp must be {CLAMP_RAW!r} or {CLAMP_01!r}, got {self.clamp!r}")
+        if not isinstance(self.refine, bool):
+            raise ValueError(f"refine must be true or false, got {self.refine!r}")
 
 
 @dataclass
@@ -206,15 +209,15 @@ def _phase1(net: MultiplexNetwork, budget: int, cfg: SolverConfig,
         scored = None
         if cfg.gamma < 1.0:
             runs = probabilistic_greedy(
-                net, i, budget, cfg.kappa, cfg.delta,
-                rng=np.random.default_rng(cfg.master_seed * 7919 + i),
-                m=cfg.score_m, master_seed=cfg.master_seed + 31 * i + 1)
+                CascadeWorlds(net, cfg.score_m, cfg.master_seed + 31 * i + 1),
+                i, budget, cfg.kappa, cfg.delta,
+                rng=np.random.default_rng(cfg.master_seed * 7919 + i))
             if any(runs):
-                scored = candidate_scores(runs, net, i, worlds=worlds)
+                scored = candidate_scores(worlds, runs, i)
         # without scores there is nothing meaningful to prune by
         gamma = cfg.gamma if scored is not None else 1.0
         candidates.append(select_candidates(scored, net, i, gamma))
-    table = build_profit_cost_table(net, candidates, budget, worlds=worlds)
+    table = build_profit_cost_table(worlds, candidates, budget)
     alloc = solve_mckp(table, budget)
     return candidates, table, alloc
 
@@ -271,21 +274,19 @@ def _two_phase(net, budget, cfg, shaped: bool) -> Solution:
             seeds = list(table.rows[layer][min(j, len(table.rows[layer]) - 1)].seeds)
         else:
             ctx = RewardContext(layer, state.models, cfg.clamp)
-            picks, rewards = reward_shaped_greedy(
-                net, layer, j, candidates[layer], ctx, worlds=worlds)
+            picks, rewards = reward_shaped_greedy(worlds, layer, j, candidates[layer], ctx)
             if cfg.refine and picks:
                 refined = stochastic_refinement(
-                    net, layer, j, candidates[layer], ctx, worlds=worlds,
+                    worlds, layer, j, candidates[layer], ctx, picks,
                     temperature=cfg.tau, restarts=cfg.restarts,
-                    rng=np.random.default_rng(cfg.master_seed * 104729 + layer),
-                    greedy_picks=picks)
+                    rng=np.random.default_rng(cfg.master_seed * 104729 + layer))
                 if refined != picks:
                     picks, rewards = refined, None
             seeds = picks
             entry = {"layer": layer, "rewards": rewards}
             if rewards is not None:
-                entry["shaped_final"] = shaped_spread(net, layer, seeds, ctx, worlds=worlds)
-                entry["shaped_empty"] = shaped_spread(net, layer, [], ctx, worlds=worlds)
+                entry["shaped_final"] = shaped_spread(worlds, layer, seeds, ctx)
+                entry["shaped_empty"] = shaped_spread(worlds, layer, [], ctx)
             reward_trace.append(entry)
         state.per_layer_seeds[layer] = seeds
         state.processed.append(layer)
@@ -328,43 +329,33 @@ def _two_phase(net, budget, cfg, shaped: bool) -> Solution:
 def run_isf(net: MultiplexNetwork, budget: int,
             cfg: SolverConfig | None = None) -> Solution:
     """Greedy directly on the whole-multiplex spread."""
-    cfg = cfg or SolverConfig()
-    cfg.validate()
-    t0 = time.perf_counter()
-    worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
-    picks = celf_greedy(net, None, budget, range(net.num_nodes), worlds=worlds)
-    t1 = time.perf_counter()
-    spread, cert = _final_certificate(net, picks, cfg, beta=None)
-    return Solution(
-        method=METHOD_ISF,
-        per_layer_seeds={},
-        union_seeds=sorted(picks),
-        processing_order=[],
-        spread=spread,
-        beta=None,
-        certificate=cert,
-        wall_times={"phase1": t1 - t0, "phase2": 0.0,
-                    "evaluate": time.perf_counter() - t1},
-    )
+    return _greedy_solve(net, budget, cfg or SolverConfig(), None)
 
 
 def run_celf_single(net: MultiplexNetwork, budget: int,
                     cfg: SolverConfig | None = None) -> Solution:
     """Plain greedy confined to one layer (cfg.single_layer)."""
     cfg = cfg or SolverConfig()
+    return _greedy_solve(net, budget, cfg, cfg.single_layer)
+
+
+def _greedy_solve(net, budget, cfg, layer) -> Solution:
+    """Lazy greedy on one layer's spread, or on the whole multiplex's for None."""
     cfg.validate()
-    layer = cfg.single_layer
+    nodes, scope = range(net.num_nodes), []
+    if layer is not None:
+        scope = _layer_scope(net, [layer])
+        nodes = np.flatnonzero(net.member[layer]).tolist()
     t0 = time.perf_counter()
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
-    members = np.flatnonzero(net.member[layer]).tolist()
-    picks = celf_greedy(net, layer, budget, members, worlds=worlds)
+    picks = celf_greedy(worlds, layer, budget, nodes)
     t1 = time.perf_counter()
     spread, cert = _final_certificate(net, picks, cfg, beta=None)
     return Solution(
-        method=METHOD_CELF_SINGLE,
-        per_layer_seeds={layer: picks},
+        method=METHOD_ISF if layer is None else METHOD_CELF_SINGLE,
+        per_layer_seeds={i: picks for i in scope},
         union_seeds=sorted(picks),
-        processing_order=[layer],
+        processing_order=scope,
         spread=spread,
         beta=None,
         certificate=cert,

@@ -283,23 +283,28 @@ class CascadeWorlds:
         active, _, _ = self.run(seeds, layers=layers)
         return active
 
+    def expect(self, values):
+        """Expectation over the worlds of per-world `values` (first axis).
+
+        The plain mean for sampled worlds; for an exact enumeration the
+        world probabilities weigh each row.
+        """
+        if self.weights is None:
+            return values.mean(axis=0)
+        return self.weights @ values
+
     def spread(self, seeds, layers=None, per_layer=True) -> SpreadEstimate:
         active = self.activated_matrix(seeds, layers=layers)
         counts = active.sum(axis=1).astype(float)
-        if self.weights is not None:  # exact enumeration: no sampling error
-            mean = float(counts @ self.weights)
-            stderr = 0.0
-        else:
-            mean = float(counts.mean())
-            stderr = float(counts.std(ddof=1) / math.sqrt(self.m)) if self.m > 1 else 0.0
+        stderr = 0.0  # exact enumeration has no sampling error
+        if self.weights is None and self.m > 1:
+            stderr = float(counts.std(ddof=1) / math.sqrt(self.m))
         plm = None
         if per_layer:
-            reduce = (lambda c: float(c @ self.weights)) if self.weights is not None \
-                else (lambda c: float(c.mean()))
             plm = np.array([
-                reduce((active & self.net.member[i][None, :]).sum(axis=1).astype(float))
+                self.expect((active & self.net.member[i][None, :]).sum(axis=1).astype(float))
                 for i in range(self.net.num_layers)])
-        return SpreadEstimate(mean, stderr, self.m, plm)
+        return SpreadEstimate(float(self.expect(counts)), stderr, self.m, plm)
 
     def baseline(self, seeds, layers=None):
         """Closed state for `seeds`, reusable for incremental marginal evals."""
@@ -318,9 +323,7 @@ class _Baseline:
         self.counts = active.sum(axis=1).astype(float)
 
     def mean_count(self) -> float:
-        if self.worlds.weights is not None:
-            return float(self.counts @ self.worlds.weights)
-        return float(self.counts.mean())
+        return float(self.worlds.expect(self.counts))
 
     def _extend(self, rows, starts):
         """Baseline worlds `rows` re-closed with node starts[j] added to row j."""
@@ -450,7 +453,14 @@ def _ic_edge_arrays(net, scope):
     return edges_p
 
 
-def _exact_worlds(net, layers=None):
+def exact_worlds(net: MultiplexNetwork, layers=None) -> CascadeWorlds:
+    """Probability-weighted enumeration of all IC live-edge worlds (guarded).
+
+    Spread queries against the returned CascadeWorlds are exact, so it can
+    drive greedy selection or exhaustive search without re-enumerating.
+    Guarded: at most EXACT_IC_EDGE_GUARD in-scope IC edges, and LT layers
+    must carry fixed thresholds (their dynamics are then deterministic).
+    """
     scope = _layer_scope(net, layers)
     ic_edges = _ic_edge_arrays(net, scope)
     ne = len(ic_edges)
@@ -478,38 +488,20 @@ def _exact_worlds(net, layers=None):
         if layer.model == IC and layer.num_edges:
             cols = [b for b, (li, _, _) in enumerate(ic_edges) if li == i]
             live_by_layer[i] = live_bits[:, cols]
-    worlds = CascadeWorlds.from_live_matrix(net, live_by_layer, m, weights=probs)
-    return worlds, probs, scope
-
-
-def exact_worlds(net: MultiplexNetwork, layers=None) -> CascadeWorlds:
-    """Probability-weighted enumeration of all IC live-edge worlds (guarded).
-
-    Spread queries against the returned CascadeWorlds are exact, so it can
-    drive greedy selection or exhaustive search without re-enumerating.
-    """
-    worlds, _, _ = _exact_worlds(net, layers)
-    return worlds
+    return CascadeWorlds.from_live_matrix(net, live_by_layer, m, weights=probs)
 
 
 def exact_spread(net: MultiplexNetwork, seeds, layers=None) -> float:
-    """Exact expected spread by enumerating every IC live-edge world.
-
-    Guarded: at most EXACT_IC_EDGE_GUARD in-scope IC edges, and LT layers
-    must carry fixed thresholds (their dynamics are then deterministic).
-    """
-    worlds, probs, scope = _exact_worlds(net, layers)
-    active = worlds.activated_matrix(seeds, layers=scope)
-    counts = active.sum(axis=1)
-    return float(np.dot(probs, counts))
+    """Exact expected spread by enumerating every IC live-edge world."""
+    worlds = exact_worlds(net, layers)
+    return float(worlds.expect(worlds.activated_matrix(seeds, layers=layers).sum(axis=1)))
 
 
 def exact_activation_probabilities(net: MultiplexNetwork, seeds,
                                    layers=None) -> np.ndarray:
     """Per-node activation probability under the same exact enumeration."""
-    worlds, probs, scope = _exact_worlds(net, layers)
-    active = worlds.activated_matrix(seeds, layers=scope)
-    return probs @ active
+    worlds = exact_worlds(net, layers)
+    return worlds.expect(worlds.activated_matrix(seeds, layers=layers))
 
 
 def record_status_dataset(net: MultiplexNetwork, seeds, layers_so_far,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import MultiplexNetwork
 from .pgm import (GROUP_ALWAYS_OFF, GROUP_ALWAYS_ON, ChowLiuTree,
                   CorrelationMatrix, GroupPartition)
 from . import propagation
@@ -162,36 +161,25 @@ def shaped_value_rows(active: np.ndarray, ctx: RewardContext) -> np.ndarray:
     return _values(node_scores(active, ctx), active)
 
 
-def shaped_spread(net: MultiplexNetwork, layer: int, seeds, ctx: RewardContext,
-                  worlds: CascadeWorlds | None = None, m: int = 100,
-                  master_seed: int = 0) -> float:
+def shaped_spread(worlds: CascadeWorlds, layer: int, seeds, ctx: RewardContext) -> float:
     """Expected shaped spread of a seed set inside one layer.
 
     Cascades run restricted to the layer (interlayer copies are implied by
     identity-level activation); with no fitted models this is exactly the
     layer-restricted spread.
     """
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     active = worlds.activated_matrix(seeds, layers=[layer])
-    vals = shaped_value_rows(active, ctx)
-    if worlds.weights is not None:
-        return float(vals @ worlds.weights)
-    return float(vals.mean())
+    return float(worlds.expect(shaped_value_rows(active, ctx)))
 
 
-def step_reward(net: MultiplexNetwork, layer: int, seeds, v: int,
-                ctx: RewardContext, worlds: CascadeWorlds | None = None,
-                m: int = 100, master_seed: int = 0) -> float:
+def step_reward(worlds: CascadeWorlds, layer: int, seeds, v: int,
+                ctx: RewardContext) -> float:
     """Marginal shaped spread of adding v, under shared simulation worlds."""
     seeds = list(seeds)
     if v in seeds:
         raise ValueError(f"node {v} is already in the seed set")
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
-    before = shaped_spread(net, layer, seeds, ctx, worlds=worlds)
-    after = shaped_spread(net, layer, seeds + [v], ctx, worlds=worlds)
-    return after - before
+    return shaped_spread(worlds, layer, seeds + [v], ctx) - \
+        shaped_spread(worlds, layer, seeds, ctx)
 
 
 # float64 rows of n that scoring one engine row holds at once: its score row
@@ -218,8 +206,7 @@ class _ShapedObjective:
 
     def __init__(self, layer, ctx, worlds):
         self.ctx = ctx
-        self.m = worlds.m
-        self.weights = worlds.weights
+        self.worlds = worlds
         self.base = worlds.baseline([], layers=[layer])
         tree_nodes = [mdl.tree_nodes for mdl in ctx.models if mdl.tree_nodes.size]
         self.tree_vars = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + tree_nodes))
@@ -232,9 +219,7 @@ class _ShapedObjective:
 
     @property
     def value(self) -> float:
-        if self.weights is not None:
-            return float(self.rows @ self.weights)
-        return float(self.rows.mean())
+        return float(self.worlds.expect(self.rows))
 
     def _rescored(self, world, active):
         """(slice, scores) of closed rows `active` extending worlds `world`.
@@ -280,10 +265,8 @@ class _ShapedObjective:
         self.flags[world] = active[:, self.tree_vars]
 
 
-def reward_shaped_greedy(net: MultiplexNetwork, layer: int, budget: int,
-                         candidates, ctx: RewardContext,
-                         worlds: CascadeWorlds | None = None, m: int = 100,
-                         master_seed: int = 0):
+def reward_shaped_greedy(worlds: CascadeWorlds, layer: int, budget: int,
+                         candidates, ctx: RewardContext):
     """Lazy greedy on the shaped spread; stops early once no gain is positive.
 
     With no fitted models the shaped spread degenerates to the plain
@@ -291,42 +274,30 @@ def reward_shaped_greedy(net: MultiplexNetwork, layer: int, budget: int,
     the nodes plain greedy would.  Returns (picks, per-step rewards).
     """
     nodes = list(getattr(candidates, "nodes", candidates))
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     if budget <= 0 or not nodes:
         return [], []
     return lazy_greedy(nodes, budget, _ShapedObjective(layer, ctx, worlds),
                        stop_nonpositive=True)
 
 
-def stochastic_refinement(net: MultiplexNetwork, layer: int, budget: int,
-                          candidates, ctx: RewardContext,
-                          worlds: CascadeWorlds | None = None,
+def stochastic_refinement(worlds: CascadeWorlds, layer: int, budget: int,
+                          candidates, ctx: RewardContext, greedy_picks,
                           temperature: float = 0.1, restarts: int = 8,
-                          rng: np.random.Generator | int = 0,
-                          m: int = 100, master_seed: int = 0,
-                          greedy_picks=None) -> list[int]:
+                          rng: np.random.Generator | int = 0) -> list[int]:
     """Softmax-sampled rollouts around the greedy pick; best shaped set wins.
 
-    The greedy solution always rides along as rollout 0, so the result is
-    never worse than greedy under the shared worlds; as temperature tends to
-    zero the sampler degenerates to greedy itself.  `greedy_picks` passes in
-    the caller's `reward_shaped_greedy` picks for the same arguments instead
-    of recomputing them.
+    `greedy_picks` are the `reward_shaped_greedy` picks for the same
+    arguments.  They always ride along as rollout 0, so the result is never
+    worse than greedy under the shared worlds; as temperature tends to zero
+    the sampler degenerates to greedy itself.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     if restarts < 1:
         raise ValueError("need at least one rollout")
     nodes = list(getattr(candidates, "nodes", candidates))
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-
-    if greedy_picks is None:
-        greedy_picks, _ = reward_shaped_greedy(net, layer, budget, nodes, ctx,
-                                               worlds=worlds)
     # each rollout is scored by the objective that built it; greedy is replayed
     obj = _ShapedObjective(layer, ctx, worlds)
     for v in greedy_picks:

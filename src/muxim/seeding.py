@@ -83,33 +83,28 @@ def lazy_greedy(nodes, budget: int, objective, stop_nonpositive: bool = False):
     return picks, gains
 
 
-def celf_greedy(net: MultiplexNetwork, layer: int | None, budget: int, candidates,
-                worlds: CascadeWorlds | None = None, m: int = 100,
-                master_seed: int = 0) -> list[int]:
+def celf_greedy(worlds: CascadeWorlds, layer: int | None, budget: int,
+                candidates) -> list[int]:
     """Lazy greedy seed selection on the layer-restricted spread.
 
     `layer=None` selects on the whole-multiplex spread instead.  All
-    evaluations share one set of pre-sampled worlds, so with a submodular
-    spread the picks are exactly naive greedy's.  Returns the picks in
-    selection order (every prefix is a greedy solution).
+    evaluations share `worlds`, so with a submodular spread the picks are
+    exactly naive greedy's.  Returns the picks in selection order (every
+    prefix is a greedy solution).
     """
     nodes = candidates.nodes if isinstance(candidates, CandidateSet) else list(candidates)
-    if budget > net.num_nodes:
+    if budget > worlds.net.num_nodes:
         warnings.warn(f"budget {budget} exceeds the node universe; clamping")
     budget = min(budget, len(nodes))
     if budget <= 0:
         return []
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     base = worlds.baseline([], layers=None if layer is None else [layer])
     return lazy_greedy(nodes, budget, base)[0]
 
 
-def probabilistic_greedy(net: MultiplexNetwork, layer: int, budget: int,
+def probabilistic_greedy(worlds: CascadeWorlds, layer: int, budget: int,
                          restarts: int, convergence: float = 0.0,
-                         rng: np.random.Generator | int = 0,
-                         worlds: CascadeWorlds | None = None,
-                         m: int = 20, master_seed: int = 0) -> list[list[int]]:
+                         rng: np.random.Generator | int = 0) -> list[list[int]]:
     """Randomized greedy restarts: pick nodes with probability ~ marginal gain.
 
     Each run grows a seed set until the best gain drops to `convergence`,
@@ -120,11 +115,9 @@ def probabilistic_greedy(net: MultiplexNetwork, layer: int, budget: int,
         raise ValueError("need at least one restart")
     if convergence < 0:
         raise ValueError("convergence threshold must be nonnegative")
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    members = np.flatnonzero(net.member[layer]).tolist()
+    members = np.flatnonzero(worlds.net.member[layer]).tolist()
     runs = []
     for _ in range(restarts):
         base = worlds.baseline([], layers=[layer])
@@ -148,9 +141,8 @@ def probabilistic_greedy(net: MultiplexNetwork, layer: int, budget: int,
     return runs
 
 
-def candidate_scores(runs: list[list[int]], net: MultiplexNetwork, layer: int,
-                     worlds: CascadeWorlds | None = None, m: int = 100,
-                     master_seed: int = 0) -> CandidateSet:
+def candidate_scores(worlds: CascadeWorlds, runs: list[list[int]],
+                     layer: int) -> CandidateSet:
     """Score every node picked by the randomized runs.
 
     A node's score is its summed prefix marginal gain across runs divided by
@@ -159,8 +151,6 @@ def candidate_scores(runs: list[list[int]], net: MultiplexNetwork, layer: int,
     """
     if not any(runs):
         raise ValueError("all runs are empty; nothing to score")
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     contrib: dict[int, float] = {}
     denom = 0.0
     for run in runs:
@@ -199,19 +189,16 @@ def select_candidates(scored: CandidateSet | None, net: MultiplexNetwork,
     return CandidateSet(kept, [score_of.get(v, 0.0) for v in kept])
 
 
-def build_profit_cost_table(net: MultiplexNetwork, candidates_per_layer,
-                            budget: int, worlds: CascadeWorlds | None = None,
-                            m: int = 100, master_seed: int = 0) -> ProfitCostTable:
+def build_profit_cost_table(worlds: CascadeWorlds, candidates_per_layer,
+                            budget: int) -> ProfitCostTable:
     """Run greedy per layer and price every prefix at whole-network spread.
 
     Profits are evaluated on the full multiplex with shared worlds, which
     makes each layer's profit column exactly monotone.
     """
-    if worlds is None:
-        worlds = CascadeWorlds(net, m, master_seed)
     rows = []
-    for i in range(net.num_layers):
-        picks = celf_greedy(net, i, budget, candidates_per_layer[i], worlds=worlds)
+    for i in range(worlds.net.num_layers):
+        picks = celf_greedy(worlds, i, budget, candidates_per_layer[i])
         # a layer with fewer candidates than the budget yields a shorter class
         layer_rows = [ProfitRow(0, 0.0, ())]
         base = worlds.baseline([], layers=None)

@@ -60,8 +60,7 @@ def test_criterion_2_greedy_bound():
         net = random_guarded_instance(rng, max_nodes=10, max_ic_edges=14)
         budget = int(rng.integers(1, 4))
         worlds = exact_worlds(net)
-        picks = celf_greedy(net, 0, budget, list(range(net.num_nodes)),
-                            worlds=worlds)
+        picks = celf_greedy(worlds, 0, budget, list(range(net.num_nodes)))
         value = exact_spread(net, picks)
         best = max(exact_spread(net, s) for s in
                    itertools.combinations(range(net.num_nodes), budget))
@@ -202,8 +201,8 @@ def test_criterion_6_degeneracy_identity():
         worlds = CascadeWorlds(net, 50, trial)
         ctx = RewardContext(0, [])
         nodes = list(range(net.num_nodes))
-        shaped, _ = reward_shaped_greedy(net, 0, 3, nodes, ctx, worlds=worlds)
-        plain = celf_greedy(net, 0, 3, nodes, worlds=worlds)
+        shaped, _ = reward_shaped_greedy(worlds, 0, 3, nodes, ctx)
+        plain = celf_greedy(worlds, 0, 3, nodes)
         assert shaped == plain, (trial, shaped, plain)
     report(6, "shaped greedy == plain greedy without models, 20 instances")
 

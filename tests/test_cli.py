@@ -6,6 +6,22 @@ import pytest
 from muxim.cli import main
 
 
+# the generator block of write_config
+GENERATOR = {"layer_node_counts": [12, 16, 20], "total_edges": 90, "overlap_percent": 0.5,
+             "model_per_layer": ["IC", "IC", "IC"], "rng_seed": 3}
+# (id, generator key, mistyped or out-of-domain value)
+BAD_GENERATOR_FIELDS = [
+    ("total-edges-string", "total_edges", "100"),
+    ("total-edges-float", "total_edges", 10.7),
+    ("node-counts-scalar", "layer_node_counts", 5),
+    ("node-counts-float", "layer_node_counts", [20.5, 30, 40]),
+    ("rng-seed-float", "rng_seed", 1.5),
+    ("overlap-string", "overlap_percent", "x"),
+    ("edge-counts-negative", "layer_edge_counts", [-5, 10, 10]),
+    ("padding-string", "allow_padding", "no"),
+]
+
+
 def write_config(tmp_path, **overrides):
     doc = {
         "generator": {"layer_node_counts": [12, 16, 20], "total_edges": 90,
@@ -64,6 +80,22 @@ def test_solve_writes_solution_and_csv(tmp_path, capsys):
     assert rows[1].startswith("ksn,3,") and rows[2].startswith("mim-reasoner,3,")
     doc = json.load(open(os.path.join(outdir, "solution_ksn.json")))
     assert doc["certificate"]["o"] == int(rows[1].split(",")[2])
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for _, key, value in BAD_GENERATOR_FIELDS]
+                         + [(None, [1, 2])],
+                         ids=[name for name, _, _ in BAD_GENERATOR_FIELDS] + ["not-an-object"])
+def test_generate_rejects_bad_generator_block(tmp_path, capsys, key, value):
+    gen = value if key is None else {**GENERATOR, key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"generator": gen}))
+    out = str(tmp_path / "x.mux")
+    assert main(["generate", "--config", str(path), "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    error = json.loads(captured.out.strip().splitlines()[-1])["error"]
+    assert error.startswith("bad generator config") and (key is None or key in error)
+    assert not os.path.exists(out)
 
 
 def test_solve_missing_network_exits_2(tmp_path, capsys):
@@ -198,6 +230,14 @@ ALPHA0_ZERO_EVIDENCE = {
     ({"method": "celf-single"}, ["--layer", "-1"], None, 2, None),
     ({}, ["--exact"], None, 3, None),  # 90 IC edges exceed the exact guard
     (ALPHA0_ZERO_EVIDENCE, [], None, 3, "evidence has zero probability under the tree"),
+    ({"seed": 1.5}, [], None, 2, "master_seed must be an integer >= 0"),
+    ({"seed": "7"}, [], None, 2, "master_seed must be an integer >= 0"),
+    ({"seed": -1}, [], None, 2, "master_seed must be an integer >= 0"),
+    ({"seed": True}, [], None, 2, "master_seed must be an integer >= 0"),
+    ({"refine": "no"}, [], None, 2, "refine must be true or false"),
+    ({"refine": 0}, [], None, 2, "refine must be true or false"),
+    *[({"generator": {**GENERATOR, key: value}}, [], None, 2, key)
+      for _, key, value in BAD_GENERATOR_FIELDS],
 ], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "self-loop",
         "theta-on-ic", "theta-before-model", "header-unknown-key", "bad-prob-first",
         "bad-prob-second", "edge-extra-token", "edge-extra-junk", "model-extra-token",
@@ -207,7 +247,9 @@ ALPHA0_ZERO_EVIDENCE = {
         "kappa-zero", "restarts-zero", "tau-zero", "delta-negative",
         "budget-negative", "budget-string", "unknown-method", "bad-generator",
         "score-m-zero", "score-m-negative", "alpha-negative", "layer-above-range",
-        "layer-negative", "exact-guard", "alpha0-zero-evidence"])
+        "layer-negative", "exact-guard", "alpha0-zero-evidence", "seed-float",
+        "seed-string", "seed-negative", "seed-bool", "refine-string", "refine-zero",
+        *[f"generator-{name}" for name, _, _ in BAD_GENERATOR_FIELDS]])
 def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code, error):
     flags = [f.format(tmp=tmp_path) for f in flags]
     argv = ["solve", "--config", write_config(tmp_path, **{"method": "ksn", **doc}),

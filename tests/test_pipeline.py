@@ -74,7 +74,7 @@ def test_single_layer_reasoner_reduces_to_greedy():
     cfg = small_cfg(seed=1)
     sol = run_reasoner(net, 3, cfg)
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
-    picks = celf_greedy(net, 0, 3, list(range(net.num_nodes)), worlds=worlds)
+    picks = celf_greedy(worlds, 0, 3, list(range(net.num_nodes)))
     assert sol.union_seeds == sorted(picks)
     assert len(sol.models) == 0
 
@@ -137,7 +137,7 @@ def test_isf_single_layer_equals_greedy():
     cfg = small_cfg(seed=9)
     isf = run_isf(net, 3, cfg)
     worlds = CascadeWorlds(net, cfg.m, cfg.master_seed)
-    picks = celf_greedy(net, 0, 3, list(range(net.num_nodes)), worlds=worlds)
+    picks = celf_greedy(worlds, 0, 3, list(range(net.num_nodes)))
     assert isf.union_seeds == sorted(picks)
 
 
@@ -199,11 +199,38 @@ def test_solve_dispatch_and_unknown_method():
 
 
 @pytest.mark.parametrize("runner", [run_reasoner, run_ksn, run_isf, run_celf_single])
-@pytest.mark.parametrize("bad", [{"score_m": 0}, {"clamp": "bogus"}])
+@pytest.mark.parametrize("bad", [{"score_m": 0}, {"clamp": "bogus"}, {"master_seed": 1.5},
+                                 {"master_seed": "7"}, {"master_seed": -1},
+                                 {"master_seed": True}, {"refine": "no"}, {"refine": 0}])
 def test_library_solvers_validate_config(runner, bad):
     cfg = SolverConfig(**{**small_cfg().__dict__, **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
         runner(small_net(), 2, cfg)
+
+
+def test_celf_single_rejects_layer_out_of_range_before_work(monkeypatch):
+    monkeypatch.setattr(pipeline, "CascadeWorlds", None)  # sampling would fail
+    with pytest.raises(ValueError, match="layer 5 out of range"):
+        run_celf_single(small_net(), 2, SolverConfig(single_layer=5))
+
+
+@pytest.mark.parametrize("runner, layer", [(run_isf, None), (run_celf_single, 1)])
+def test_greedy_solvers_run_celf_through_the_pipeline(runner, layer, monkeypatch):
+    net, cfg = small_net(seed=4), SolverConfig(m=30, master_seed=2, single_layer=1)
+    scopes = []
+
+    def recorded(worlds, scope, budget, candidates):
+        scopes.append(scope)
+        return celf_greedy(worlds, scope, budget, candidates)
+
+    monkeypatch.setattr(pipeline, "celf_greedy", recorded)
+    sol = runner(net, 3, cfg)
+    assert scopes == [layer]
+    nodes = range(net.num_nodes) if layer is None else np.flatnonzero(net.member[layer])
+    picks = celf_greedy(CascadeWorlds(net, 30, 2), layer, 3, nodes)
+    assert sol.union_seeds == sorted(picks)
+    assert sol.per_layer_seeds == ({} if layer is None else {layer: picks})
+    assert sol.processing_order == ([] if layer is None else [layer])
 
 
 def test_reasoner_needs_two_simulations_before_phase1(monkeypatch):

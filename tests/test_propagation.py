@@ -376,3 +376,50 @@ def test_gains_batch_equals_single_gains(worlds, monkeypatch):
         for v in nodes:
             after = worlds.spread([0, v], layers=layers, per_layer=False).mean
             assert whole[v] == pytest.approx(after - before, abs=1e-9)
+
+
+def _old_mean(worlds, values):
+    """The world average every call site inlined before `CascadeWorlds.expect`."""
+    if worlds.weights is not None:
+        return float(values @ worlds.weights)
+    return float(values.mean())
+
+
+@pytest.mark.parametrize("models, pinned", [
+    ([IC], True), ([LT], True), ([IC, LT], True), ([LT, IC, IC], True),
+    ([IC, LT], False), ([LT, IC, LT], False)])
+def test_expectations_equal_the_inlined_formulas(models, pinned):
+    rng = np.random.default_rng(100 + 10 * len(models) + pinned)
+    k = len(models)
+    scopes = [None] + [[i] for i in range(k)] + ([[0, k - 1]] if k > 1 else [])
+    for trial in range(6):
+        net = random_multiplex(rng, models, pinned, edges_per_layer=(3, 6))
+        n = net.num_nodes
+        for layers in scopes:
+            seeds = rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()
+            cases = [CascadeWorlds(net, 31, trial)]
+            if pinned:
+                exact = exact_worlds(net, layers)
+                probs = exact.weights
+                active = exact.activated_matrix(seeds, layers=layers)
+                assert exact_spread(net, seeds, layers) == \
+                    float(np.dot(probs, active.sum(axis=1)))
+                assert exact_activation_probabilities(net, seeds, layers).tobytes() == \
+                    (probs @ active).tobytes()
+                cases.append(exact)
+            for worlds in cases:
+                active = worlds.activated_matrix(seeds, layers=layers)
+                counts = active.sum(axis=1).astype(float)
+                est = worlds.spread(seeds, layers=layers)
+                assert est.mean == _old_mean(worlds, counts)
+                want = 0.0 if worlds.weights is not None else \
+                    float(counts.std(ddof=1) / np.sqrt(worlds.m))
+                assert est.stderr == want
+                per_layer = np.array([
+                    _old_mean(worlds, (active & net.member[i][None, :]).sum(axis=1)
+                              .astype(float)) for i in range(k)])
+                assert est.per_layer_mean.tobytes() == per_layer.tobytes()
+                base = worlds.baseline(seeds, layers=layers)
+                assert base.mean_count() == _old_mean(worlds, base.counts)
+                values = rng.random(worlds.m)
+                assert float(worlds.expect(values)) == _old_mean(worlds, values)

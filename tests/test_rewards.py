@@ -76,7 +76,7 @@ def test_shaped_spread_without_models_equals_layer_spread():
                         probs0=[0.6, 0.7], probs1=[0.5])
     worlds = CascadeWorlds(net, 80, 3)
     ctx = RewardContext(0, [])
-    assert shaped_spread(net, 0, [0], ctx, worlds=worlds) == \
+    assert shaped_spread(worlds, 0, [0], ctx) == \
         worlds.spread([0], layers=[0], per_layer=False).mean
 
 
@@ -86,7 +86,7 @@ def test_shaped_spread_zero_when_everything_covered():
     model, data = fit_model(net, [0], {0, 1})
     assert data.rows.all()  # deterministic full coverage
     ctx = RewardContext(1, [model])
-    assert shaped_spread(net, 1, [1], ctx, worlds=CascadeWorlds(net, 20, 0)) \
+    assert shaped_spread(CascadeWorlds(net, 20, 0), 1, [1], ctx) \
         == pytest.approx(0.0, abs=1e-12)
 
 
@@ -94,19 +94,18 @@ def test_step_reward_isolated_node_counts_itself():
     net = single_layer_net([(0, 1)], 4, probs=[0.5])  # nodes 2, 3 isolated
     ctx = RewardContext(0, [])
     worlds = CascadeWorlds(net, 50, 1)
-    assert step_reward(net, 0, [0], 3, ctx, worlds=worlds) == pytest.approx(1.0)
+    assert step_reward(worlds, 0, [0], 3, ctx) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        step_reward(net, 0, [0], 0, ctx, worlds=worlds)
+        step_reward(worlds, 0, [0], 0, ctx)
 
 
 def test_rewards_telescope_exactly(rng):
     net = random_guarded_instance(rng, max_nodes=12, max_ic_edges=16)
     worlds = CascadeWorlds(net, 60, 4)
     ctx = RewardContext(0, [])
-    picks, rewards = reward_shaped_greedy(net, 0, 4, list(range(net.num_nodes)),
-                                          ctx, worlds=worlds)
-    total = shaped_spread(net, 0, picks, ctx, worlds=worlds)
-    empty = shaped_spread(net, 0, [], ctx, worlds=worlds)
+    picks, rewards = reward_shaped_greedy(worlds, 0, 4, list(range(net.num_nodes)), ctx)
+    total = shaped_spread(worlds, 0, picks, ctx)
+    empty = shaped_spread(worlds, 0, [], ctx)
     assert sum(rewards) == pytest.approx(total - empty, abs=1e-9)
 
 
@@ -115,10 +114,8 @@ def test_shaped_greedy_degenerates_to_plain_greedy(rng):
         net = random_guarded_instance(rng, max_nodes=12, max_ic_edges=16)
         worlds = CascadeWorlds(net, 50, trial)
         ctx = RewardContext(0, [])
-        picks, _ = reward_shaped_greedy(net, 0, 3, list(range(net.num_nodes)),
-                                        ctx, worlds=worlds)
-        assert picks == celf_greedy(net, 0, 3, list(range(net.num_nodes)),
-                                    worlds=worlds)
+        picks, _ = reward_shaped_greedy(worlds, 0, 3, list(range(net.num_nodes)), ctx)
+        assert picks == celf_greedy(worlds, 0, 3, list(range(net.num_nodes)))
 
 
 def shaped_oracle(net, layer, seeds, models, clamp="raw"):
@@ -183,7 +180,7 @@ def test_shaped_spread_matches_reweighted_exact_oracle():
     ctx = RewardContext(1, [model])
     worlds = exact_worlds(net)
     for seeds in ([1], [4], [1, 3]):
-        got = shaped_spread(net, 1, seeds, ctx, worlds=worlds)
+        got = shaped_spread(worlds, 1, seeds, ctx)
         want = shaped_oracle(net, 1, seeds, [model])
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -197,10 +194,10 @@ def test_shaped_greedy_avoids_fully_covered_candidate():
     model, _ = fit_model(net, [0], {0})
     ctx = RewardContext(1, [model])
     worlds = CascadeWorlds(net, 30, 5)
-    picks, _ = reward_shaped_greedy(net, 1, 1, [1, 4], ctx, worlds=worlds)
+    picks, _ = reward_shaped_greedy(worlds, 1, 1, [1, 4], ctx)
     assert picks == [4]
     # plain greedy prefers the longer chain through covered ground
-    assert celf_greedy(net, 1, 1, [1, 4], worlds=worlds) == [1]
+    assert celf_greedy(worlds, 1, 1, [1, 4]) == [1]
 
 
 def test_clamp_mode_bounds_scores():
@@ -227,10 +224,9 @@ def test_refinement_single_rollout_is_greedy(rng):
     net = random_guarded_instance(rng, max_nodes=10, max_ic_edges=12)
     worlds = CascadeWorlds(net, 40, 2)
     ctx = RewardContext(0, [])
-    greedy, _ = reward_shaped_greedy(net, 0, 3, list(range(net.num_nodes)),
-                                     ctx, worlds=worlds)
-    refined = stochastic_refinement(net, 0, 3, list(range(net.num_nodes)),
-                                    ctx, worlds=worlds, temperature=1e-12,
+    greedy, _ = reward_shaped_greedy(worlds, 0, 3, list(range(net.num_nodes)), ctx)
+    refined = stochastic_refinement(worlds, 0, 3, list(range(net.num_nodes)),
+                                    ctx, greedy, temperature=1e-12,
                                     restarts=1, rng=0)
     assert refined == greedy
 
@@ -241,11 +237,11 @@ def test_refinement_never_worse(rng):
         worlds = CascadeWorlds(net, 40, trial)
         ctx = RewardContext(0, [])
         nodes = list(range(net.num_nodes))
-        greedy, _ = reward_shaped_greedy(net, 0, 3, nodes, ctx, worlds=worlds)
-        refined = stochastic_refinement(net, 0, 3, nodes, ctx, worlds=worlds,
+        greedy, _ = reward_shaped_greedy(worlds, 0, 3, nodes, ctx)
+        refined = stochastic_refinement(worlds, 0, 3, nodes, ctx, greedy,
                                         temperature=0.5, restarts=12, rng=trial)
-        g = shaped_spread(net, 0, greedy, ctx, worlds=worlds)
-        r = shaped_spread(net, 0, refined, ctx, worlds=worlds)
+        g = shaped_spread(worlds, 0, greedy, ctx)
+        r = shaped_spread(worlds, 0, refined, ctx)
         assert r >= g - 1e-12
 
 
@@ -258,15 +254,15 @@ def test_refinement_beats_greedy_on_coverage_trap():
     worlds = CascadeWorlds(net, 5, 0)
     ctx = RewardContext(0, [])
     nodes = [0, 1, 2]
-    greedy, _ = reward_shaped_greedy(net, 0, 2, nodes, ctx, worlds=worlds)
-    assert shaped_spread(net, 0, greedy, ctx, worlds=worlds) == 6.0
+    greedy, _ = reward_shaped_greedy(worlds, 0, 2, nodes, ctx)
+    assert shaped_spread(worlds, 0, greedy, ctx) == 6.0
     best = max(
-        (shaped_spread(net, 0, list(pair), ctx, worlds=worlds)
+        (shaped_spread(worlds, 0, list(pair), ctx)
          for pair in itertools.combinations(nodes, 2)))
     assert best == 7.0  # {1, 2} covers everything
-    refined = stochastic_refinement(net, 0, 2, nodes, ctx, worlds=worlds,
+    refined = stochastic_refinement(worlds, 0, 2, nodes, ctx, greedy,
                                     temperature=1.0, restarts=200, rng=1)
-    assert shaped_spread(net, 0, refined, ctx, worlds=worlds) == best
+    assert shaped_spread(worlds, 0, refined, ctx) == best
 
 
 def _model_stack(kind, num_models, alpha, seed, pinned):
@@ -323,9 +319,9 @@ def _lone_gain(obj, v):
     if world.size == 0:
         return 0.0
     delta = shaped_value_rows(sub, obj.ctx) - obj.rows[world]
-    if obj.weights is not None:
-        return float(delta @ obj.weights[world])
-    return float(delta.sum() / obj.m)
+    if obj.worlds.weights is not None:
+        return float(delta @ obj.worlds.weights[world])
+    return float(delta.sum() / obj.worlds.m)
 
 
 @pytest.mark.parametrize("budget", [1000, 1 << 14])
@@ -355,18 +351,6 @@ def test_batched_shaped_gains_are_bit_exact(kind, num_models, clamp, alpha, exac
         assert obj.rows.tobytes() == shaped_value_rows(obj.base.active, ctx).tobytes()
         if models:
             assert obj.w.tobytes() == _stacked_scores(obj.base.active, ctx).tobytes()
-
-
-def test_refinement_reuses_callers_greedy_picks(rng):
-    net, models = _model_stack("mixed", 2, 1.0, 5, pinned=False)
-    worlds = CascadeWorlds(net, 40, 9)
-    ctx = RewardContext(3, models)
-    nodes = list(range(net.num_nodes))
-    picks, _ = reward_shaped_greedy(net, 3, 3, nodes, ctx, worlds=worlds)
-    kwargs = dict(worlds=worlds, temperature=0.3, restarts=4)
-    assert stochastic_refinement(net, 3, 3, nodes, ctx, rng=7, greedy_picks=picks,
-                                 **kwargs) == \
-        stochastic_refinement(net, 3, 3, nodes, ctx, rng=7, **kwargs)
 
 
 def _record_keys_and_patterns(monkeypatch):
@@ -422,7 +406,7 @@ def test_memo_lives_in_the_reward_context():
     own.append(models[1])  # the caller's list grows after the context is made
     assert first.models == models[:1] and len(first.memos) == 1
     second = RewardContext(3, models)
-    reward_shaped_greedy(net, 3, 3, range(net.num_nodes), first, worlds=worlds)
+    reward_shaped_greedy(worlds, 3, 3, range(net.num_nodes), first)
     assert first.memos[0] and not any(second.memos)
     assert first.memos[0] is not second.memos[0]
     for mdl in models:
@@ -545,12 +529,12 @@ def test_refinement_scores_rollouts_by_their_own_objective(kind, seed, monkeypat
     monkeypatch.setattr(rewards, "_ShapedObjective", Recorded)
     for temperature in (1e-10, 0.05, 0.3, 2.0):
         ctx = RewardContext(3, models)
-        greedy, _ = reward_shaped_greedy(net, 3, 3, nodes, ctx, worlds=worlds)
+        greedy, _ = reward_shaped_greedy(worlds, 3, 3, nodes, ctx)
         want = _refine_replaying_every_rollout(
             3, 3, nodes, RewardContext(3, models), worlds, temperature, 5,
             np.random.default_rng(seed), greedy)
         built.clear()
-        got = stochastic_refinement(net, 3, 3, nodes, ctx, worlds=worlds,
+        got = stochastic_refinement(worlds, 3, 3, nodes, ctx,
                                     temperature=temperature, restarts=5, rng=seed,
                                     greedy_picks=greedy)
         assert got == want

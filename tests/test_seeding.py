@@ -29,13 +29,13 @@ def naive_greedy(net, layer, budget, nodes, worlds):
 
 def test_budget_zero_returns_empty():
     net = star_net()
-    assert celf_greedy(net, 0, 0, list(range(net.num_nodes)), m=10) == []
+    assert celf_greedy(CascadeWorlds(net, 10, 0), 0, 0, list(range(net.num_nodes))) == []
 
 
 def test_star_center_dominates():
     net = star_net()
     worlds = CascadeWorlds(net, 10, 0)
-    assert celf_greedy(net, 0, 1, list(range(net.num_nodes)), worlds=worlds) == [0]
+    assert celf_greedy(worlds, 0, 1, list(range(net.num_nodes))) == [0]
 
 
 @pytest.mark.parametrize("layer", [0, None])  # None: whole-multiplex spread
@@ -45,7 +45,7 @@ def test_celf_equals_naive_greedy(rng, layer):
                                       num_layers=1 if layer == 0 else 2)
         worlds = CascadeWorlds(net, 40, trial)
         nodes = list(range(net.num_nodes))
-        assert celf_greedy(net, layer, 4, nodes, worlds=worlds) == \
+        assert celf_greedy(worlds, layer, 4, nodes) == \
             naive_greedy(net, layer, 4, nodes, worlds)
 
 
@@ -79,7 +79,7 @@ def test_lazy_greedy_ties_and_nonpositive_stop():
 def test_celf_budget_clamp_warns():
     net = star_net()
     with pytest.warns(UserWarning, match="clamping"):
-        picks = celf_greedy(net, 0, 99, list(range(net.num_nodes)), m=5)
+        picks = celf_greedy(CascadeWorlds(net, 5, 0), 0, 99, list(range(net.num_nodes)))
     assert len(picks) == net.num_nodes
 
 
@@ -88,7 +88,7 @@ def test_greedy_ratio_against_exhaustive_optimum(rng):
     for trial in range(6):
         net = random_guarded_instance(rng, max_nodes=8, max_ic_edges=10)
         worlds = exact_worlds(net)
-        picks = celf_greedy(net, 0, 2, list(range(net.num_nodes)), worlds=worlds)
+        picks = celf_greedy(worlds, 0, 2, list(range(net.num_nodes)))
         value = exact_spread(net, picks)
         best = max(exact_spread(net, s)
                    for s in itertools.combinations(range(net.num_nodes), 2))
@@ -99,8 +99,7 @@ def test_probabilistic_greedy_single_positive_node_is_forced():
     # after the star center saturates nodes 1..3, node 4 is the only node
     # left with positive gain, so it must follow with probability 1
     net = single_layer_net([(0, 1), (0, 2), (0, 3)], 5, probs=[1.0] * 3)
-    runs = probabilistic_greedy(net, 0, 2, restarts=30, rng=0, m=10,
-                                master_seed=1)
+    runs = probabilistic_greedy(CascadeWorlds(net, 10, 1), 0, 2, restarts=30, rng=0)
     for run in runs:
         if run and run[0] == 0:
             assert run == [0, 4]
@@ -111,8 +110,7 @@ def test_probabilistic_greedy_samples_proportional_to_gain():
     # nodes 2 and 3 only themselves (gain 1); equal-gain nodes should be
     # drawn equally often and twice as often as the leaves
     net = single_layer_net([(0, 2), (1, 3)], 4, probs=[1.0, 1.0])
-    runs = probabilistic_greedy(net, 0, 1, restarts=600, rng=7, m=10,
-                                master_seed=3)
+    runs = probabilistic_greedy(CascadeWorlds(net, 10, 3), 0, 1, restarts=600, rng=7)
     first = [r[0] for r in runs if r]
     freq = {v: first.count(v) / len(first) for v in range(4)}
     assert freq[0] == pytest.approx(1 / 3, abs=0.05)
@@ -123,15 +121,15 @@ def test_probabilistic_greedy_samples_proportional_to_gain():
 
 def test_probabilistic_greedy_infinite_threshold_stops_immediately():
     net = star_net()
-    runs = probabilistic_greedy(net, 0, 3, restarts=4, convergence=float("inf"),
-                                rng=0, m=10)
+    runs = probabilistic_greedy(CascadeWorlds(net, 10, 0), 0, 3, restarts=4,
+                                convergence=float("inf"), rng=0)
     assert runs == [[], [], [], []]
 
 
 def test_candidate_scores_single_run_scores_one():
     net = star_net()
     worlds = CascadeWorlds(net, 10, 0)
-    scored = candidate_scores([[0]], net, 0, worlds=worlds)
+    scored = candidate_scores(worlds, [[0]], 0)
     assert scored.nodes == [0]
     assert scored.scores == [1.0]
 
@@ -139,7 +137,7 @@ def test_candidate_scores_single_run_scores_one():
 def test_candidate_scores_excludes_unpicked_nodes():
     net = star_net()
     worlds = CascadeWorlds(net, 10, 0)
-    scored = candidate_scores([[0], [1, 0]], net, 0, worlds=worlds)
+    scored = candidate_scores(worlds, [[0], [1, 0]], 0)
     assert 2 not in scored.nodes
     assert set(scored.nodes) == {0, 1}
 
@@ -153,7 +151,7 @@ def test_candidate_scores_match_hand_computation():
     # spreads: s({0})=3, s({0,3})=5, s({3})=2, s({3,1})=4
     # contributions: node0: 3; node3: (5-3)+2 = 4; node1: 4-2 = 2
     # denominator: 5 + 4 = 9
-    scored = candidate_scores(runs, net, 0, worlds=worlds)
+    scored = candidate_scores(worlds, runs, 0)
     want = {0: 3 / 9, 3: 4 / 9, 1: 2 / 9}
     assert scored.nodes == [3, 0, 1]  # sorted by score desc
     for v, s in zip(scored.nodes, scored.scores):
@@ -168,7 +166,7 @@ def test_candidate_scores_telescope_to_run_spread():
     for v in run:
         base.accept(v)
     total = base.mean_count()
-    scored = candidate_scores([run], net, 0, worlds=worlds)
+    scored = candidate_scores(worlds, [run], 0)
     assert sum(scored.scores) == pytest.approx(1.0, abs=1e-12)
     assert total > 0
 
@@ -176,7 +174,7 @@ def test_candidate_scores_telescope_to_run_spread():
 def test_candidate_scores_rejects_empty_runs():
     net = star_net()
     with pytest.raises(ValueError, match="empty"):
-        candidate_scores([[], []], net, 0, m=5)
+        candidate_scores(CascadeWorlds(net, 5, 0), [[], []], 0)
 
 
 def test_select_candidates_gamma_one_keeps_all_members():
@@ -196,7 +194,7 @@ def test_profit_table_structure_and_monotone():
     net = two_layer_net([(0, 1)], [(1, 2)], 3, probs0=[1.0], probs1=[1.0])
     worlds = CascadeWorlds(net, 10, 0)
     cands = [CandidateSet([0, 1], [1.0, 0.5]), CandidateSet([1, 2], [1.0, 0.5])]
-    table = build_profit_cost_table(net, cands, 2, worlds=worlds)
+    table = build_profit_cost_table(worlds, cands, 2)
     for rows in table.rows:
         assert rows[0].cost == 0 and rows[0].profit == 0.0 and rows[0].seeds == ()
         for j, row in enumerate(rows):
@@ -208,8 +206,7 @@ def test_profit_table_structure_and_monotone():
 def test_profit_table_single_layer_equals_layer_spread():
     net = single_layer_net([(0, 1), (1, 2)], 3, probs=[1.0, 1.0])
     worlds = CascadeWorlds(net, 10, 0)
-    table = build_profit_cost_table(net, [CandidateSet([0, 1, 2], [1, 1, 1])],
-                                    2, worlds=worlds)
+    table = build_profit_cost_table(worlds, [CandidateSet([0, 1, 2], [1, 1, 1])], 2)
     spread = worlds.spread([0], layers=[0]).mean
     assert table.rows[0][1].profit == spread
 
@@ -219,7 +216,7 @@ def test_profit_table_matches_exact_oracle(rng):
     worlds = exact_worlds(net)
     cands = [CandidateSet(list(range(net.num_nodes)), [0.0] * net.num_nodes)
              for _ in range(2)]
-    table = build_profit_cost_table(net, cands, 2, worlds=worlds)
+    table = build_profit_cost_table(worlds, cands, 2)
     for rows in table.rows:
         for row in rows:
             assert row.profit == pytest.approx(exact_spread(net, row.seeds),
@@ -229,7 +226,8 @@ def test_profit_table_matches_exact_oracle(rng):
 def test_profit_table_csv(tmp_path):
     net = two_layer_net([(0, 1)], [(1, 2)], 3)
     table = build_profit_cost_table(
-        net, [CandidateSet([0], [1.0]), CandidateSet([1], [1.0])], 1, m=5)
+        CascadeWorlds(net, 5, 0), [CandidateSet([0], [1.0]), CandidateSet([1], [1.0])],
+        1)
     path = tmp_path / "table.csv"
     table.to_csv(path)
     lines = path.read_text().strip().splitlines()
