@@ -30,8 +30,8 @@ runs = probabilistic_greedy(worlds, layer=1, budget=5, restarts=6,
                             convergence=0.0, rng=3)
 print("\nrandomized runs:", runs)
 scored = candidate_scores(worlds, runs, layer=1)
-print("top scored candidates:",
-      list(zip(scored.nodes[:6], [round(s, 3) for s in scored.scores[:6]])))
+top = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))[:6]
+print("top scored candidates:", [(v, round(s, 3)) for v, s in top])
 
 pruned = select_candidates(scored, net, layer=1, gamma=0.25)
 print("\npruned pool keeps", len(pruned), "of",

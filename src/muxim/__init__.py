@@ -15,7 +15,7 @@ from .propagation import (CascadeTrace, CascadeWorlds, GuardError,
                           exact_activation_probabilities, exact_spread,
                           exact_worlds, per_layer_spread,
                           record_status_dataset, simulate_once)
-from .seeding import (CandidateSet, ProfitCostTable, build_profit_cost_table,
+from .seeding import (ProfitCostTable, build_profit_cost_table,
                       candidate_scores, celf_greedy, probabilistic_greedy,
                       select_candidates)
 from .knapsack import BudgetAllocationTable, solve_mckp, verify_allocation
@@ -25,9 +25,8 @@ from .pgm import (ChowLiuTree, CorrelationMatrix, GroupPartition,
 from .rewards import (ActivationModel, RewardContext, activation_score,
                       reward_shaped_greedy, shaped_spread, step_reward,
                       stochastic_refinement)
-from .pipeline import (PhaseState, RatioCertificate, Solution, SolverConfig,
+from .pipeline import (RatioCertificate, Solution, SolverConfig,
                        exhaustive_optimum, measure_beta, run_celf_single,
-                       run_isf, run_ksn, run_reasoner, select_next_layer,
-                       solve)
+                       run_isf, run_ksn, run_reasoner, solve)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from .network import (GeneratorConfig, MultiplexNetwork, generate_synthetic,
                       load_multiplex, overlap_count, save_multiplex)
 from .pipeline import (METHOD_CELF_SINGLE, METHOD_ISF, METHOD_KSN,
                        METHOD_REASONER, RatioCertificate, SolverConfig,
-                       exhaustive_optimum, run_reasoner, solve)
+                       exhaustive_optimum, solve)
 from .propagation import GuardError, exact_spread
 
 EXIT_OK = 0
@@ -56,12 +57,17 @@ def _load_config(path):
     return doc
 
 
+def _check_keys(block: dict, allowed, what: str) -> None:
+    """A usage error naming every key of `block` outside `allowed`."""
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise _CliError(EXIT_USAGE, {"error": f"{what}: {', '.join(unknown)}",
+                                     "unknown_keys": unknown})
+
+
 def _solver_config(doc: dict, args) -> SolverConfig:
     """Solver knobs from the document and flags, checked before any work."""
-    unknown = sorted(set(doc) - DOC_KEYS)
-    if unknown:
-        raise _CliError(EXIT_USAGE, {"error": f"unknown config keys: {', '.join(unknown)}",
-                                     "unknown_keys": unknown})
+    _check_keys(doc, DOC_KEYS, "unknown config keys")
     cfg = SolverConfig()
     for key, attr in SOLVER_KEYS.items():
         if key in doc:
@@ -114,10 +120,21 @@ def _resolve_network(doc: dict, args):
     if not gen:
         raise _CliError(EXIT_USAGE,
                         {"error": "config needs a 'network' path or 'generator' block"})
-    return _generate(gen)
+    return _generate(_generator_block(gen))
 
 
-def _generate(gen) -> MultiplexNetwork:
+def _generator_block(gen, preset: bool = False) -> dict:
+    """`gen` if it is a JSON object whose keys are GeneratorConfig fields or,
+    with `preset`, keys a preset takes; else a usage error naming the keys."""
+    if not isinstance(gen, dict):
+        raise _CliError(EXIT_USAGE, {"error": "bad generator config: not a JSON object"})
+    allowed = ["overlap_percent", "model", "rng_seed"] if preset else \
+        [f.name for f in dataclasses.fields(GeneratorConfig)]
+    _check_keys(gen, allowed, "bad generator config: unknown keys")
+    return gen
+
+
+def _generate(gen: dict) -> MultiplexNetwork:
     """The network a generator block describes; a bad block is a usage error."""
     try:
         return generate_synthetic(GeneratorConfig(
@@ -137,9 +154,8 @@ def _generate(gen) -> MultiplexNetwork:
 
 def cmd_generate(args) -> int:
     doc = _load_config(args.config)
-    gen = doc.get("generator", {})
-    if not isinstance(gen, dict):
-        raise _CliError(EXIT_USAGE, {"error": "bad generator config: not a JSON object"})
+    _check_keys(doc, DOC_KEYS, "unknown config keys")
+    gen = _generator_block(doc.get("generator", {}), preset=args.preset is not None)
     if args.preset == "table1-3layer":
         gen = {"layer_node_counts": [500, 2000, 2500], "total_edges": 25000,
                "overlap_percent": gen.get("overlap_percent", 0.3),
@@ -168,6 +184,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _solve(net, method: str, budget: int, cfg: SolverConfig):
+    """`solve`; a run that cannot finish (GuardError, ValueError) exits 3 with JSON."""
+    try:
+        return solve(net, method, budget, cfg)
+    except (GuardError, ValueError) as exc:
+        raise _CliError(EXIT_GUARD, {"error": str(exc), "method": method})
+
+
 def cmd_solve(args) -> int:
     doc = _load_config(args.config)
     cfg = _solver_config(doc, args)
@@ -178,11 +202,7 @@ def cmd_solve(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     t0 = time.perf_counter()
-    try:
-        solution = solve(net, method, budget, cfg)
-    except (GuardError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "method": method}))
-        return EXIT_GUARD
+    solution = _solve(net, method, budget, cfg)
     wall = time.perf_counter() - t0
 
     if args.exact:
@@ -223,8 +243,8 @@ def cmd_verify(args) -> int:
     net = _resolve_network(doc, args)
     _check_method(cfg, method, net)
 
+    solution = _solve(net, method, budget, cfg)
     try:
-        solution = solve(net, method, budget, cfg)
         sigma_hat = exact_spread(net, solution.union_seeds)
         sigma_opt, _ = exhaustive_optimum(net, budget)
     except GuardError as exc:
@@ -258,7 +278,7 @@ def cmd_inspect_pgm(args) -> int:
     _check_method(cfg, METHOD_REASONER, net)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
-    solution = run_reasoner(net, budget, cfg)
+    solution = _solve(net, METHOD_REASONER, budget, cfg)
     written = []
     for t, model in enumerate(solution.models):
         path = os.path.join(outdir, f"pgm_{t}.json")

@@ -40,9 +40,6 @@ class BudgetAllocationTable:
     def total_profit(self) -> float:
         return float(sum(r.profit for r in self.rows))
 
-    def budget_of(self, layer: int) -> int:
-        return next(r.budget for r in self.rows if r.layer == layer)
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("layer,budget,profit\n")

@@ -174,33 +174,6 @@ class Solution:
         }
 
 
-@dataclass
-class PhaseState:
-    """Mutable loop state for the layer-by-layer phase-2 walk."""
-
-    remaining: list[tuple[int, int, float]]  # (layer, budget, expected profit)
-    models: list[ActivationModel] = field(default_factory=list)
-    per_layer_seeds: dict[int, list[int]] = field(default_factory=dict)
-    processed: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_allocation(cls, alloc: BudgetAllocationTable) -> "PhaseState":
-        return cls([(r.layer, r.budget, r.profit) for r in alloc.rows])
-
-
-def select_next_layer(state: PhaseState) -> int | None:
-    """Pop and return the remaining layer with the lowest expected profit.
-
-    Ties fall to the lower layer id; returns None once every layer has been
-    consumed.
-    """
-    if not state.remaining:
-        return None
-    best = min(state.remaining, key=lambda row: (row[2], row[0]))
-    state.remaining.remove(best)
-    return best[0]
-
-
 def _phase1(net: MultiplexNetwork, budget: int, cfg: SolverConfig,
             worlds: CascadeWorlds):
     """Candidate pruning, per-layer greedy prefixes, pricing, and allocation."""
@@ -263,21 +236,17 @@ def _two_phase(net, budget, cfg, shaped: bool) -> Solution:
     candidates, table, alloc = _phase1(net, budget, cfg, worlds)
     t1 = time.perf_counter()
 
-    state = PhaseState.from_allocation(alloc)
-    reward_trace = []
-    while True:
-        layer = select_next_layer(state)
-        if layer is None:
-            break
-        j = alloc.budget_of(layer)
-        if not shaped or not state.processed:
-            seeds = list(table.rows[layer][min(j, len(table.rows[layer]) - 1)].seeds)
+    models, per_layer_seeds, order, reward_trace = [], {}, [], []
+    for pos, row in enumerate(sorted(alloc.rows, key=lambda r: (r.profit, r.layer))):
+        layer = row.layer
+        if not shaped or pos == 0:
+            seeds = list(table.rows[layer][row.budget].seeds)
         else:
-            ctx = RewardContext(layer, state.models, cfg.clamp)
-            picks, rewards = reward_shaped_greedy(worlds, layer, j, candidates[layer], ctx)
+            ctx = RewardContext(layer, models, cfg.clamp)
+            picks, rewards = reward_shaped_greedy(worlds, row.budget, candidates[layer], ctx)
             if cfg.refine and picks:
                 refined = stochastic_refinement(
-                    worlds, layer, j, candidates[layer], ctx, picks,
+                    worlds, row.budget, candidates[layer], ctx, picks,
                     temperature=cfg.tau, restarts=cfg.restarts,
                     rng=np.random.default_rng(cfg.master_seed * 104729 + layer))
                 if refined != picks:
@@ -285,41 +254,41 @@ def _two_phase(net, budget, cfg, shaped: bool) -> Solution:
             seeds = picks
             entry = {"layer": layer, "rewards": rewards}
             if rewards is not None:
-                entry["shaped_final"] = shaped_spread(worlds, layer, seeds, ctx)
-                entry["shaped_empty"] = shaped_spread(worlds, layer, [], ctx)
+                entry["shaped_final"] = shaped_spread(worlds, seeds, ctx)
+                entry["shaped_empty"] = shaped_spread(worlds, [], ctx)
             reward_trace.append(entry)
-        state.per_layer_seeds[layer] = seeds
-        state.processed.append(layer)
+        per_layer_seeds[layer] = seeds
+        order.append(layer)
 
-        if shaped and state.remaining:  # no model after the final layer
+        if shaped and pos + 1 < len(alloc.rows):  # no model after the final layer
             seeds_so_far = sorted(set(itertools.chain.from_iterable(
-                state.per_layer_seeds.values())))
+                per_layer_seeds.values())))
             data = record_status_dataset(
-                net, seeds_so_far, set(state.processed), m=cfg.m,
-                master_seed=cfg.master_seed + 500009 + 17 * len(state.processed))
+                net, seeds_so_far, set(order), m=cfg.m,
+                master_seed=cfg.master_seed + 500009 + 17 * (pos + 1))
             corr = pearson_matrix(data)
             partition = variable_grouping(data, corr, cfg.xi)
             tree = None
             if partition.tree_variables():
                 tree = chow_liu_fit(data, partition, cfg.alpha)
-            state.models.append(ActivationModel(partition, tree, corr, net.num_nodes))
+            models.append(ActivationModel(partition, tree, corr, net.num_nodes))
     t2 = time.perf_counter()
 
-    union = sorted(set(itertools.chain.from_iterable(state.per_layer_seeds.values())))
-    beta = measure_beta(state.per_layer_seeds, state.processed, net,
+    union = sorted(set(itertools.chain.from_iterable(per_layer_seeds.values())))
+    beta = measure_beta(per_layer_seeds, order, net,
                         m=cfg.m, master_seed=cfg.master_seed + 700001)
     spread, cert = _final_certificate(net, union, cfg, beta)
     t3 = time.perf_counter()
     return Solution(
         method=METHOD_REASONER if shaped else METHOD_KSN,
-        per_layer_seeds=state.per_layer_seeds,
+        per_layer_seeds=per_layer_seeds,
         union_seeds=union,
-        processing_order=state.processed,
+        processing_order=order,
         spread=spread,
         beta=beta,
         certificate=cert,
         reward_trace=reward_trace,
-        models=state.models,
+        models=models,
         allocation=alloc,
         profit_table=table,
         wall_times={"phase1": t1 - t0, "phase2": t2 - t1, "evaluate": t3 - t2},

@@ -96,10 +96,11 @@ class ActivationModel:
 
 @dataclass
 class RewardContext:
-    """Everything the shaped objective needs about previously done layers.
+    """The phase-2 layer the shaped objective scores, and the layers done before it.
 
-    `memos` holds each model's solved evidence patterns.  They are made with
-    the context and live as long as it does: one phase-2 layer.  `models` is
+    Every shaped routine runs its cascades restricted to `layer`.  `memos`
+    holds each model's solved evidence patterns.  They are made with the
+    context and live as long as it does: one phase-2 layer.  `models` is
     copied, so a caller's later appends to its own list keep them aligned.
     """
 
@@ -161,25 +162,23 @@ def shaped_value_rows(active: np.ndarray, ctx: RewardContext) -> np.ndarray:
     return _values(node_scores(active, ctx), active)
 
 
-def shaped_spread(worlds: CascadeWorlds, layer: int, seeds, ctx: RewardContext) -> float:
-    """Expected shaped spread of a seed set inside one layer.
+def shaped_spread(worlds: CascadeWorlds, seeds, ctx: RewardContext) -> float:
+    """Expected shaped spread of a seed set inside the context's layer.
 
     Cascades run restricted to the layer (interlayer copies are implied by
     identity-level activation); with no fitted models this is exactly the
     layer-restricted spread.
     """
-    active = worlds.activated_matrix(seeds, layers=[layer])
+    active = worlds.activated_matrix(seeds, layers=[ctx.layer])
     return float(worlds.expect(shaped_value_rows(active, ctx)))
 
 
-def step_reward(worlds: CascadeWorlds, layer: int, seeds, v: int,
-                ctx: RewardContext) -> float:
+def step_reward(worlds: CascadeWorlds, seeds, v: int, ctx: RewardContext) -> float:
     """Marginal shaped spread of adding v, under shared simulation worlds."""
     seeds = list(seeds)
     if v in seeds:
         raise ValueError(f"node {v} is already in the seed set")
-    return shaped_spread(worlds, layer, seeds + [v], ctx) - \
-        shaped_spread(worlds, layer, seeds, ctx)
+    return shaped_spread(worlds, seeds + [v], ctx) - shaped_spread(worlds, seeds, ctx)
 
 
 # float64 rows of n that scoring one engine row holds at once: its score row
@@ -204,10 +203,10 @@ class _ShapedObjective:
     models' conditionals.
     """
 
-    def __init__(self, layer, ctx, worlds):
+    def __init__(self, ctx, worlds):
         self.ctx = ctx
         self.worlds = worlds
-        self.base = worlds.baseline([], layers=[layer])
+        self.base = worlds.baseline([], layers=[ctx.layer])
         tree_nodes = [mdl.tree_nodes for mdl in ctx.models if mdl.tree_nodes.size]
         self.tree_vars = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + tree_nodes))
         self.row_bytes = 3 * self.tree_vars.size + _KEY_BYTES * len(tree_nodes)
@@ -265,23 +264,23 @@ class _ShapedObjective:
         self.flags[world] = active[:, self.tree_vars]
 
 
-def reward_shaped_greedy(worlds: CascadeWorlds, layer: int, budget: int,
-                         candidates, ctx: RewardContext):
-    """Lazy greedy on the shaped spread; stops early once no gain is positive.
+def reward_shaped_greedy(worlds: CascadeWorlds, budget: int, candidates,
+                         ctx: RewardContext):
+    """Lazy greedy on the context layer's shaped spread; stops at no positive gain.
 
     With no fitted models the shaped spread degenerates to the plain
     layer-restricted spread, and under the same worlds this selects exactly
     the nodes plain greedy would.  Returns (picks, per-step rewards).
     """
-    nodes = list(getattr(candidates, "nodes", candidates))
+    nodes = list(candidates)
     if budget <= 0 or not nodes:
         return [], []
-    return lazy_greedy(nodes, budget, _ShapedObjective(layer, ctx, worlds),
+    return lazy_greedy(nodes, budget, _ShapedObjective(ctx, worlds),
                        stop_nonpositive=True)
 
 
-def stochastic_refinement(worlds: CascadeWorlds, layer: int, budget: int,
-                          candidates, ctx: RewardContext, greedy_picks,
+def stochastic_refinement(worlds: CascadeWorlds, budget: int, candidates,
+                          ctx: RewardContext, greedy_picks,
                           temperature: float = 0.1, restarts: int = 8,
                           rng: np.random.Generator | int = 0) -> list[int]:
     """Softmax-sampled rollouts around the greedy pick; best shaped set wins.
@@ -295,16 +294,16 @@ def stochastic_refinement(worlds: CascadeWorlds, layer: int, budget: int,
         raise ValueError("temperature must be positive")
     if restarts < 1:
         raise ValueError("need at least one rollout")
-    nodes = list(getattr(candidates, "nodes", candidates))
+    nodes = list(candidates)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     # each rollout is scored by the objective that built it; greedy is replayed
-    obj = _ShapedObjective(layer, ctx, worlds)
+    obj = _ShapedObjective(ctx, worlds)
     for v in greedy_picks:
         obj.accept(v)
     best, best_value = list(greedy_picks), obj.value
     for _ in range(restarts - 1):
-        obj = _ShapedObjective(layer, ctx, worlds)
+        obj = _ShapedObjective(ctx, worlds)
         picks: list[int] = []
         while len(picks) < budget:
             remaining = [v for v in nodes if v not in picks]

@@ -20,17 +20,6 @@ from .propagation import CascadeWorlds
 
 
 @dataclass
-class CandidateSet:
-    """Candidate nodes sorted by descending score (ties broken by lower id)."""
-
-    nodes: list[int]
-    scores: list[float]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass
 class ProfitRow:
     cost: int
     profit: float
@@ -92,7 +81,7 @@ def celf_greedy(worlds: CascadeWorlds, layer: int | None, budget: int,
     exactly naive greedy's.  Returns the picks in selection order (every
     prefix is a greedy solution).
     """
-    nodes = candidates.nodes if isinstance(candidates, CandidateSet) else list(candidates)
+    nodes = list(candidates)
     if budget > worlds.net.num_nodes:
         warnings.warn(f"budget {budget} exceeds the node universe; clamping")
     budget = min(budget, len(nodes))
@@ -142,8 +131,8 @@ def probabilistic_greedy(worlds: CascadeWorlds, layer: int, budget: int,
 
 
 def candidate_scores(worlds: CascadeWorlds, runs: list[list[int]],
-                     layer: int) -> CandidateSet:
-    """Score every node picked by the randomized runs.
+                     layer: int) -> dict[int, float]:
+    """Score every node picked by the randomized runs: {node: score}.
 
     A node's score is its summed prefix marginal gain across runs divided by
     the summed spread of the runs, so scores live in [0, 1] and the prefix
@@ -164,29 +153,23 @@ def candidate_scores(worlds: CascadeWorlds, runs: list[list[int]],
         denom += prev
     if denom <= 0:
         raise ValueError("runs have zero total spread; cannot normalize scores")
-    items = sorted(contrib.items(), key=lambda kv: (-kv[1] / denom, kv[0]))
-    return CandidateSet([v for v, _ in items], [w / denom for _, w in items])
+    return {v: w / denom for v, w in contrib.items()}
 
 
-def select_candidates(scored: CandidateSet | None, net: MultiplexNetwork,
-                      layer: int, gamma: float = 0.25) -> CandidateSet:
-    """Prune the layer's members down to the top gamma fraction by score.
+def select_candidates(scores: dict[int, float] | None, net: MultiplexNetwork,
+                      layer: int, gamma: float = 0.25) -> list[int]:
+    """The layer's members ranked by descending score, pruned to the top gamma.
 
     Nodes untouched by any randomized run score 0 and fill the remaining
     slots in id order; every scored node is always kept.  gamma >= 1
     disables pruning.
     """
     members = np.flatnonzero(net.member[layer]).tolist()
-    score_of = {}
-    if scored is not None:
-        score_of = dict(zip(scored.nodes, scored.scores))
-    ranked = sorted(members, key=lambda v: (-score_of.get(v, 0.0), v))
+    scores = scores or {}
+    ranked = sorted(members, key=lambda v: (-scores.get(v, 0.0), v))
     if gamma >= 1.0:
-        keep = len(ranked)
-    else:
-        keep = max(int(np.ceil(gamma * len(ranked))), len(score_of))
-    kept = ranked[:keep]
-    return CandidateSet(kept, [score_of.get(v, 0.0) for v in kept])
+        return ranked
+    return ranked[:max(int(np.ceil(gamma * len(ranked))), len(scores))]
 
 
 def build_profit_cost_table(worlds: CascadeWorlds, candidates_per_layer,

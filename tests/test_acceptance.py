@@ -201,7 +201,7 @@ def test_criterion_6_degeneracy_identity():
         worlds = CascadeWorlds(net, 50, trial)
         ctx = RewardContext(0, [])
         nodes = list(range(net.num_nodes))
-        shaped, _ = reward_shaped_greedy(worlds, 0, 3, nodes, ctx)
+        shaped, _ = reward_shaped_greedy(worlds, 3, nodes, ctx)
         plain = celf_greedy(worlds, 0, 3, nodes)
         assert shaped == plain, (trial, shaped, plain)
     report(6, "shaped greedy == plain greedy without models, 20 instances")

@@ -9,7 +9,7 @@ from muxim.cli import main
 # the generator block of write_config
 GENERATOR = {"layer_node_counts": [12, 16, 20], "total_edges": 90, "overlap_percent": 0.5,
              "model_per_layer": ["IC", "IC", "IC"], "rng_seed": 3}
-# (id, generator key, mistyped or out-of-domain value)
+# (id, generator key, mistyped or out-of-domain value; or a key no field has)
 BAD_GENERATOR_FIELDS = [
     ("total-edges-string", "total_edges", "100"),
     ("total-edges-float", "total_edges", 10.7),
@@ -19,6 +19,7 @@ BAD_GENERATOR_FIELDS = [
     ("overlap-string", "overlap_percent", "x"),
     ("edge-counts-negative", "layer_edge_counts", [-5, 10, 10]),
     ("padding-string", "allow_padding", "no"),
+    ("misspelt-key", "rng_sed", 5),
 ]
 
 
@@ -95,6 +96,23 @@ def test_generate_rejects_bad_generator_block(tmp_path, capsys, key, value):
     assert "Traceback" not in captured.err
     error = json.loads(captured.out.strip().splitlines()[-1])["error"]
     assert error.startswith("bad generator config") and (key is None or key in error)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("doc, flags, key", [
+    ({"generator": GENERATOR, "gama": 3}, [], "gama"),
+    ({"generator": {"rng_sed": 5}}, ["--preset", "table1-3layer"], "rng_sed"),
+    ({"generator": {"total_edges": 10}}, ["--preset", "table1-3layer"], "total_edges"),
+], ids=["top-level-key", "preset-misspelt-key", "preset-unused-key"])
+def test_generate_names_unknown_keys(tmp_path, capsys, doc, flags, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "x.mux")
+    assert main(["generate", "--config", str(path), "--output", out, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["unknown_keys"] == [key] and key in payload["error"]
     assert not os.path.exists(out)
 
 
@@ -270,6 +288,22 @@ def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code, error):
         assert error in out["error"]
     if code == 2:  # rejected before any work
         assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command, doc, code, error", [
+    ("verify", ALPHA0_ZERO_EVIDENCE, 3, "evidence has zero probability under the tree"),
+    ("inspect-pgm", ALPHA0_ZERO_EVIDENCE, 3, "evidence has zero probability under the tree"),
+    ("verify", {"generator": {**GENERATOR, "rng_sed": 5}}, 2, "rng_sed"),
+    ("inspect-pgm", {"generator": {**GENERATOR, "rng_sed": 5}}, 2, "rng_sed"),
+], ids=["verify-alpha0-zero-evidence", "inspect-pgm-alpha0-zero-evidence",
+        "verify-generator-misspelt-key", "inspect-pgm-generator-misspelt-key"])
+def test_verify_and_inspect_pgm_exit_codes(tmp_path, capsys, command, doc, code, error):
+    argv = [command, "--config", write_config(tmp_path, **doc),
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert error in json.loads(captured.out.strip().splitlines()[-1])["error"]
 
 
 @pytest.mark.parametrize("command", ["inspect-pgm", "verify"])

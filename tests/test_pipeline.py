@@ -3,10 +3,9 @@ import pytest
 
 from muxim import pipeline
 from muxim.network import IC, GeneratorConfig, generate_synthetic, overlap_count
-from muxim.pipeline import (PhaseState, RatioCertificate, SolverConfig,
-                            exhaustive_optimum, measure_beta, run_celf_single,
-                            run_isf, run_ksn, run_reasoner, select_next_layer,
-                            solve)
+from muxim.pipeline import (RatioCertificate, SolverConfig, exhaustive_optimum,
+                            measure_beta, run_celf_single, run_isf, run_ksn,
+                            run_reasoner, solve)
 from muxim.propagation import CascadeWorlds, GuardError, exact_spread
 from muxim.seeding import celf_greedy
 
@@ -25,18 +24,18 @@ def small_net(seed=0, k=2):
 
 # -- layer selection ----------------------------------------------------------
 
-def test_select_next_layer_prefers_lowest_profit():
-    state = PhaseState(remaining=[(0, 2, 10.0), (1, 2, 4.0), (2, 2, 7.0)])
-    assert select_next_layer(state) == 1
-    assert select_next_layer(state) == 2
-    assert select_next_layer(state) == 0
-    assert select_next_layer(state) is None
-
-
-def test_select_next_layer_breaks_ties_by_layer_id():
-    state = PhaseState(remaining=[(3, 1, 4.0), (1, 1, 4.0)])
-    assert select_next_layer(state) == 1
-    assert select_next_layer(state) == 3
+@pytest.mark.parametrize("budget", [1, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_processing_order_ascends_by_allocated_profit_then_layer(seed, budget):
+    sol = run_reasoner(small_net(seed=seed, k=3), budget, small_cfg(seed=seed))
+    row_of = {r.layer: r for r in sol.allocation.rows}
+    assert sorted(sol.processing_order) == sorted(row_of) == [0, 1, 2]
+    keys = [(row_of[layer].profit, layer) for layer in sol.processing_order]
+    assert keys == sorted(keys)
+    if budget == 1:  # the two layers without a seed tie at profit 0.0
+        unseeded = [layer for layer in sol.processing_order if row_of[layer].budget == 0]
+        assert [row_of[layer].profit for layer in unseeded] == [0.0, 0.0]
+        assert sol.processing_order[:2] == unseeded == sorted(unseeded)
 
 
 # -- certificates --------------------------------------------------------------
@@ -122,10 +121,9 @@ def test_ksn_equals_reasoner_with_phase2_disabled():
     reasoner = run_reasoner(net, 4, cfg)
     # the same phase 1; every layer then keeps its allocated greedy prefix
     assert ksn.allocation.rows == reasoner.allocation.rows
-    for layer, seeds in ksn.per_layer_seeds.items():
-        prefixes = ksn.profit_table.rows[layer]
-        assert seeds == list(prefixes[min(ksn.allocation.budget_of(layer),
-                                          len(prefixes) - 1)].seeds)
+    for row in ksn.allocation.rows:
+        prefixes = ksn.profit_table.rows[row.layer]
+        assert ksn.per_layer_seeds[row.layer] == list(prefixes[row.budget].seeds)
     first = reasoner.processing_order[0]
     assert ksn.per_layer_seeds[first] == reasoner.per_layer_seeds[first]
     assert ksn.union_seeds == sorted(set().union(*ksn.per_layer_seeds.values()))

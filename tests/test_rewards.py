@@ -76,7 +76,7 @@ def test_shaped_spread_without_models_equals_layer_spread():
                         probs0=[0.6, 0.7], probs1=[0.5])
     worlds = CascadeWorlds(net, 80, 3)
     ctx = RewardContext(0, [])
-    assert shaped_spread(worlds, 0, [0], ctx) == \
+    assert shaped_spread(worlds, [0], ctx) == \
         worlds.spread([0], layers=[0], per_layer=False).mean
 
 
@@ -86,7 +86,7 @@ def test_shaped_spread_zero_when_everything_covered():
     model, data = fit_model(net, [0], {0, 1})
     assert data.rows.all()  # deterministic full coverage
     ctx = RewardContext(1, [model])
-    assert shaped_spread(CascadeWorlds(net, 20, 0), 1, [1], ctx) \
+    assert shaped_spread(CascadeWorlds(net, 20, 0), [1], ctx) \
         == pytest.approx(0.0, abs=1e-12)
 
 
@@ -94,18 +94,18 @@ def test_step_reward_isolated_node_counts_itself():
     net = single_layer_net([(0, 1)], 4, probs=[0.5])  # nodes 2, 3 isolated
     ctx = RewardContext(0, [])
     worlds = CascadeWorlds(net, 50, 1)
-    assert step_reward(worlds, 0, [0], 3, ctx) == pytest.approx(1.0)
+    assert step_reward(worlds, [0], 3, ctx) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        step_reward(worlds, 0, [0], 0, ctx)
+        step_reward(worlds, [0], 0, ctx)
 
 
 def test_rewards_telescope_exactly(rng):
     net = random_guarded_instance(rng, max_nodes=12, max_ic_edges=16)
     worlds = CascadeWorlds(net, 60, 4)
     ctx = RewardContext(0, [])
-    picks, rewards = reward_shaped_greedy(worlds, 0, 4, list(range(net.num_nodes)), ctx)
-    total = shaped_spread(worlds, 0, picks, ctx)
-    empty = shaped_spread(worlds, 0, [], ctx)
+    picks, rewards = reward_shaped_greedy(worlds, 4, list(range(net.num_nodes)), ctx)
+    total = shaped_spread(worlds, picks, ctx)
+    empty = shaped_spread(worlds, [], ctx)
     assert sum(rewards) == pytest.approx(total - empty, abs=1e-9)
 
 
@@ -114,7 +114,7 @@ def test_shaped_greedy_degenerates_to_plain_greedy(rng):
         net = random_guarded_instance(rng, max_nodes=12, max_ic_edges=16)
         worlds = CascadeWorlds(net, 50, trial)
         ctx = RewardContext(0, [])
-        picks, _ = reward_shaped_greedy(worlds, 0, 3, list(range(net.num_nodes)), ctx)
+        picks, _ = reward_shaped_greedy(worlds, 3, list(range(net.num_nodes)), ctx)
         assert picks == celf_greedy(worlds, 0, 3, list(range(net.num_nodes)))
 
 
@@ -180,7 +180,7 @@ def test_shaped_spread_matches_reweighted_exact_oracle():
     ctx = RewardContext(1, [model])
     worlds = exact_worlds(net)
     for seeds in ([1], [4], [1, 3]):
-        got = shaped_spread(worlds, 1, seeds, ctx)
+        got = shaped_spread(worlds, seeds, ctx)
         want = shaped_oracle(net, 1, seeds, [model])
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -194,7 +194,7 @@ def test_shaped_greedy_avoids_fully_covered_candidate():
     model, _ = fit_model(net, [0], {0})
     ctx = RewardContext(1, [model])
     worlds = CascadeWorlds(net, 30, 5)
-    picks, _ = reward_shaped_greedy(worlds, 1, 1, [1, 4], ctx)
+    picks, _ = reward_shaped_greedy(worlds, 1, [1, 4], ctx)
     assert picks == [4]
     # plain greedy prefers the longer chain through covered ground
     assert celf_greedy(worlds, 1, 1, [1, 4]) == [1]
@@ -224,8 +224,8 @@ def test_refinement_single_rollout_is_greedy(rng):
     net = random_guarded_instance(rng, max_nodes=10, max_ic_edges=12)
     worlds = CascadeWorlds(net, 40, 2)
     ctx = RewardContext(0, [])
-    greedy, _ = reward_shaped_greedy(worlds, 0, 3, list(range(net.num_nodes)), ctx)
-    refined = stochastic_refinement(worlds, 0, 3, list(range(net.num_nodes)),
+    greedy, _ = reward_shaped_greedy(worlds, 3, list(range(net.num_nodes)), ctx)
+    refined = stochastic_refinement(worlds, 3, list(range(net.num_nodes)),
                                     ctx, greedy, temperature=1e-12,
                                     restarts=1, rng=0)
     assert refined == greedy
@@ -237,11 +237,11 @@ def test_refinement_never_worse(rng):
         worlds = CascadeWorlds(net, 40, trial)
         ctx = RewardContext(0, [])
         nodes = list(range(net.num_nodes))
-        greedy, _ = reward_shaped_greedy(worlds, 0, 3, nodes, ctx)
-        refined = stochastic_refinement(worlds, 0, 3, nodes, ctx, greedy,
+        greedy, _ = reward_shaped_greedy(worlds, 3, nodes, ctx)
+        refined = stochastic_refinement(worlds, 3, nodes, ctx, greedy,
                                         temperature=0.5, restarts=12, rng=trial)
-        g = shaped_spread(worlds, 0, greedy, ctx)
-        r = shaped_spread(worlds, 0, refined, ctx)
+        g = shaped_spread(worlds, greedy, ctx)
+        r = shaped_spread(worlds, refined, ctx)
         assert r >= g - 1e-12
 
 
@@ -254,15 +254,15 @@ def test_refinement_beats_greedy_on_coverage_trap():
     worlds = CascadeWorlds(net, 5, 0)
     ctx = RewardContext(0, [])
     nodes = [0, 1, 2]
-    greedy, _ = reward_shaped_greedy(worlds, 0, 2, nodes, ctx)
-    assert shaped_spread(worlds, 0, greedy, ctx) == 6.0
+    greedy, _ = reward_shaped_greedy(worlds, 2, nodes, ctx)
+    assert shaped_spread(worlds, greedy, ctx) == 6.0
     best = max(
-        (shaped_spread(worlds, 0, list(pair), ctx)
+        (shaped_spread(worlds, list(pair), ctx)
          for pair in itertools.combinations(nodes, 2)))
     assert best == 7.0  # {1, 2} covers everything
-    refined = stochastic_refinement(worlds, 0, 2, nodes, ctx, greedy,
+    refined = stochastic_refinement(worlds, 2, nodes, ctx, greedy,
                                     temperature=1.0, restarts=200, rng=1)
-    assert shaped_spread(worlds, 0, refined, ctx) == best
+    assert shaped_spread(worlds, refined, ctx) == best
 
 
 def _model_stack(kind, num_models, alpha, seed, pinned):
@@ -337,7 +337,7 @@ def test_batched_shaped_gains_are_bit_exact(kind, num_models, clamp, alpha, exac
     net, models = _model_stack(kind, num_models, alpha, 11 + num_models, pinned=exact)
     worlds = exact_worlds(net) if exact else CascadeWorlds(net, 150, 3)
     ctx = RewardContext(3, models, clamp)
-    obj = _ShapedObjective(3, ctx, worlds)
+    obj = _ShapedObjective(ctx, worlds)
     if models:
         assert obj.w.tobytes() == _stacked_scores(obj.base.active, ctx).tobytes()
     nodes = list(range(net.num_nodes))
@@ -376,7 +376,7 @@ def test_scan_keys_each_changed_row_once(kind, monkeypatch):
     monkeypatch.setattr(propagation, "GAIN_CHUNK_BYTES", 4000)
     net, models = _model_stack(kind, 3, 1.0, 14, pinned=False)
     keyed, solved = _record_keys_and_patterns(monkeypatch)
-    obj = _ShapedObjective(3, RewardContext(3, models), CascadeWorlds(net, 150, 3))
+    obj = _ShapedObjective(RewardContext(3, models), CascadeWorlds(net, 150, 3))
     assert any(mdl.tree_nodes.size for mdl in models)
     nodes = list(range(net.num_nodes))
     total = 0
@@ -406,7 +406,7 @@ def test_memo_lives_in_the_reward_context():
     own.append(models[1])  # the caller's list grows after the context is made
     assert first.models == models[:1] and len(first.memos) == 1
     second = RewardContext(3, models)
-    reward_shaped_greedy(worlds, 3, 3, range(net.num_nodes), first)
+    reward_shaped_greedy(worlds, 3, range(net.num_nodes), first)
     assert first.memos[0] and not any(second.memos)
     assert first.memos[0] is not second.memos[0]
     for mdl in models:
@@ -477,12 +477,12 @@ def test_activation_model_fields_match_per_node_loop(seed, constant_only):
     assert model.rep_slot.tobytes() == rep_slot.tobytes()
 
 
-def _refine_replaying_every_rollout(layer, budget, nodes, ctx, worlds, temperature,
+def _refine_replaying_every_rollout(budget, nodes, ctx, worlds, temperature,
                                     restarts, rng, greedy_picks):
     """Softmax rollouts, each re-scored by a fresh replay; best value wins."""
     rollouts = [list(greedy_picks)]
     for _ in range(restarts - 1):
-        obj = _ShapedObjective(layer, ctx, worlds)
+        obj = _ShapedObjective(ctx, worlds)
         picks = []
         while len(picks) < budget:
             remaining = [v for v in nodes if v not in picks]
@@ -501,7 +501,7 @@ def _refine_replaying_every_rollout(layer, budget, nodes, ctx, worlds, temperatu
         rollouts.append(picks)
 
     def final_value(picks):
-        obj = _ShapedObjective(layer, ctx, worlds)
+        obj = _ShapedObjective(ctx, worlds)
         for v in picks:
             obj.accept(v)
         return obj.value
@@ -529,19 +529,19 @@ def test_refinement_scores_rollouts_by_their_own_objective(kind, seed, monkeypat
     monkeypatch.setattr(rewards, "_ShapedObjective", Recorded)
     for temperature in (1e-10, 0.05, 0.3, 2.0):
         ctx = RewardContext(3, models)
-        greedy, _ = reward_shaped_greedy(worlds, 3, 3, nodes, ctx)
+        greedy, _ = reward_shaped_greedy(worlds, 3, nodes, ctx)
         want = _refine_replaying_every_rollout(
-            3, 3, nodes, RewardContext(3, models), worlds, temperature, 5,
+            3, nodes, RewardContext(3, models), worlds, temperature, 5,
             np.random.default_rng(seed), greedy)
         built.clear()
-        got = stochastic_refinement(worlds, 3, 3, nodes, ctx,
+        got = stochastic_refinement(worlds, 3, nodes, ctx,
                                     temperature=temperature, restarts=5, rng=seed,
                                     greedy_picks=greedy)
         assert got == want
         assert len(built) == 5  # the greedy replay and four rollouts
         assert built[0].accepted == greedy
         for obj in built:
-            fresh = _ShapedObjective(3, RewardContext(3, models), worlds)
+            fresh = _ShapedObjective(RewardContext(3, models), worlds)
             for v in obj.accepted:
                 fresh.accept(v)
             assert fresh.rows.tobytes() == obj.rows.tobytes()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from muxim.propagation import CascadeWorlds, exact_spread, exact_worlds
-from muxim.seeding import (CandidateSet, build_profit_cost_table,
-                           candidate_scores, celf_greedy, lazy_greedy,
-                           probabilistic_greedy, select_candidates)
+from muxim.seeding import (build_profit_cost_table, candidate_scores,
+                           celf_greedy, lazy_greedy, probabilistic_greedy,
+                           select_candidates)
 
 from conftest import random_guarded_instance, single_layer_net, two_layer_net
 
@@ -130,16 +130,15 @@ def test_candidate_scores_single_run_scores_one():
     net = star_net()
     worlds = CascadeWorlds(net, 10, 0)
     scored = candidate_scores(worlds, [[0]], 0)
-    assert scored.nodes == [0]
-    assert scored.scores == [1.0]
+    assert scored == {0: 1.0}
 
 
 def test_candidate_scores_excludes_unpicked_nodes():
     net = star_net()
     worlds = CascadeWorlds(net, 10, 0)
     scored = candidate_scores(worlds, [[0], [1, 0]], 0)
-    assert 2 not in scored.nodes
-    assert set(scored.nodes) == {0, 1}
+    assert 2 not in scored
+    assert set(scored) == {0, 1}
 
 
 def test_candidate_scores_match_hand_computation():
@@ -153,8 +152,8 @@ def test_candidate_scores_match_hand_computation():
     # denominator: 5 + 4 = 9
     scored = candidate_scores(worlds, runs, 0)
     want = {0: 3 / 9, 3: 4 / 9, 1: 2 / 9}
-    assert scored.nodes == [3, 0, 1]  # sorted by score desc
-    for v, s in zip(scored.nodes, scored.scores):
+    assert select_candidates(scored, net, 0, gamma=0.1) == [3, 0, 1]  # by score desc
+    for v, s in scored.items():
         assert s == pytest.approx(want[v], abs=1e-12)
 
 
@@ -167,7 +166,7 @@ def test_candidate_scores_telescope_to_run_spread():
         base.accept(v)
     total = base.mean_count()
     scored = candidate_scores(worlds, [run], 0)
-    assert sum(scored.scores) == pytest.approx(1.0, abs=1e-12)
+    assert sum(scored.values()) == pytest.approx(1.0, abs=1e-12)
     assert total > 0
 
 
@@ -180,20 +179,20 @@ def test_candidate_scores_rejects_empty_runs():
 def test_select_candidates_gamma_one_keeps_all_members():
     net = two_layer_net([(0, 1)], [(1, 2)], 3)
     sel = select_candidates(None, net, 0, gamma=1.0)
-    assert sel.nodes == [0, 1]  # only layer members
+    assert sel == [0, 1]  # only layer members
 
 
 def test_select_candidates_keeps_every_scored_node():
     net = star_net()
-    scored = CandidateSet([5, 4, 3], [0.5, 0.4, 0.3])
+    scored = {5: 0.5, 4: 0.4, 3: 0.3}
     sel = select_candidates(scored, net, 0, gamma=0.1)
-    assert set(sel.nodes) >= {5, 4, 3}
+    assert set(sel) >= {5, 4, 3}
 
 
 def test_profit_table_structure_and_monotone():
     net = two_layer_net([(0, 1)], [(1, 2)], 3, probs0=[1.0], probs1=[1.0])
     worlds = CascadeWorlds(net, 10, 0)
-    cands = [CandidateSet([0, 1], [1.0, 0.5]), CandidateSet([1, 2], [1.0, 0.5])]
+    cands = [[0, 1], [1, 2]]
     table = build_profit_cost_table(worlds, cands, 2)
     for rows in table.rows:
         assert rows[0].cost == 0 and rows[0].profit == 0.0 and rows[0].seeds == ()
@@ -206,7 +205,7 @@ def test_profit_table_structure_and_monotone():
 def test_profit_table_single_layer_equals_layer_spread():
     net = single_layer_net([(0, 1), (1, 2)], 3, probs=[1.0, 1.0])
     worlds = CascadeWorlds(net, 10, 0)
-    table = build_profit_cost_table(worlds, [CandidateSet([0, 1, 2], [1, 1, 1])], 2)
+    table = build_profit_cost_table(worlds, [[0, 1, 2]], 2)
     spread = worlds.spread([0], layers=[0]).mean
     assert table.rows[0][1].profit == spread
 
@@ -214,8 +213,7 @@ def test_profit_table_single_layer_equals_layer_spread():
 def test_profit_table_matches_exact_oracle(rng):
     net = random_guarded_instance(rng, max_nodes=7, max_ic_edges=10, num_layers=2)
     worlds = exact_worlds(net)
-    cands = [CandidateSet(list(range(net.num_nodes)), [0.0] * net.num_nodes)
-             for _ in range(2)]
+    cands = [list(range(net.num_nodes)) for _ in range(2)]
     table = build_profit_cost_table(worlds, cands, 2)
     for rows in table.rows:
         for row in rows:
@@ -226,8 +224,7 @@ def test_profit_table_matches_exact_oracle(rng):
 def test_profit_table_csv(tmp_path):
     net = two_layer_net([(0, 1)], [(1, 2)], 3)
     table = build_profit_cost_table(
-        CascadeWorlds(net, 5, 0), [CandidateSet([0], [1.0]), CandidateSet([1], [1.0])],
-        1)
+        CascadeWorlds(net, 5, 0), [[0], [1]], 1)
     path = tmp_path / "table.csv"
     table.to_csv(path)
     lines = path.read_text().strip().splitlines()
