@@ -29,9 +29,9 @@ print("achieved ratio: %.3f" % (sigma_hat / sigma_opt))
 
 beta = solution.beta
 bounds = {
-    "worst case      ": RatioCertificate.worst_bound(o, k),
-    f"general (b={beta:.2f})": RatioCertificate.general_bound(o, k, beta),
-    "best case       ": RatioCertificate.best_bound(o, k),
+    "worst case      ": RatioCertificate.bound(o, k, 1.0),
+    f"general (b={beta:.2f})": RatioCertificate.bound(o, k, beta),
+    "best case       ": RatioCertificate.bound(o, k, 0.0),
 }
 print("\nprovable lower bounds on the ratio (solver error 0):")
 for name, bound in bounds.items():

@@ -18,9 +18,8 @@ import time
 from .network import (GeneratorConfig, MultiplexNetwork, generate_synthetic,
                       load_multiplex, overlap_count, save_multiplex)
 from .pipeline import (METHOD_CELF_SINGLE, METHOD_ISF, METHOD_KSN,
-                       METHOD_REASONER, RatioCertificate, SolverConfig,
-                       exhaustive_optimum, solve)
-from .propagation import GuardError, exact_spread
+                       METHOD_REASONER, SolverConfig, exhaustive_optimum, solve)
+from .propagation import GuardError, exact_spread, exact_worlds
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -184,10 +183,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve(net, method: str, budget: int, cfg: SolverConfig):
-    """`solve`; a run that cannot finish (GuardError, ValueError) exits 3 with JSON."""
+def _guarded(method: str, fn, *args):
+    """`fn(*args)`, the solve or an exact oracle; a GuardError or ValueError
+    exits 3 with JSON naming `method`."""
     try:
-        return solve(net, method, budget, cfg)
+        return fn(*args)
     except (GuardError, ValueError) as exc:
         raise _CliError(EXIT_GUARD, {"error": str(exc), "method": method})
 
@@ -198,19 +198,16 @@ def cmd_solve(args) -> int:
     method, budget = _method_budget(doc, args, 30)
     net = _resolve_network(doc, args)
     _check_method(cfg, method, net)
+    exact = _guarded(method, exact_worlds, net) if args.exact else None
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
 
     t0 = time.perf_counter()
-    solution = _solve(net, method, budget, cfg)
+    solution = _guarded(method, solve, net, method, budget, cfg)
     wall = time.perf_counter() - t0
 
-    if args.exact:
-        try:
-            sigma = exact_spread(net, solution.union_seeds)
-        except GuardError as exc:
-            print(json.dumps({"error": str(exc), "method": method}))
-            return EXIT_GUARD
+    if exact is not None:
+        sigma = exact.spread(solution.union_seeds, per_layer=False).mean
         solution.spread.mean = sigma
         solution.spread.stderr = 0.0
         solution.certificate.sigma_hat = sigma
@@ -243,26 +240,18 @@ def cmd_verify(args) -> int:
     net = _resolve_network(doc, args)
     _check_method(cfg, method, net)
 
-    solution = _solve(net, method, budget, cfg)
-    try:
-        sigma_hat = exact_spread(net, solution.union_seeds)
-        sigma_opt, _ = exhaustive_optimum(net, budget)
-    except GuardError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return EXIT_GUARD
+    sigma_opt, _ = _guarded(method, exhaustive_optimum, net, budget)
+    solution = _guarded(method, solve, net, method, budget, cfg)
+    sigma_hat = exact_spread(net, solution.union_seeds)
 
-    o, k = overlap_count(net), net.num_layers
-    beta = solution.beta
-    checks = {"worst": RatioCertificate.worst_bound(o, k),
-              "best": RatioCertificate.best_bound(o, k)}
-    if beta is not None:
-        checks["general"] = RatioCertificate.general_bound(o, k, beta)
-
-    print(f"method={method} k={k} o={o} l={budget}")
+    cert = solution.certificate
+    print(f"method={method} k={cert.k} o={cert.o} l={budget}")
     print(f"sigma_hat={sigma_hat:.6f} sigma_opt={sigma_opt:.6f} "
-          f"beta={'n/a' if beta is None else f'{beta:.4f}'}")
+          f"beta={'n/a' if cert.beta is None else f'{cert.beta:.4f}'}")
     failures = 0
-    for name, bound in checks.items():
+    for name, bound in cert.bounds().items():
+        if bound is None:
+            continue
         ok = sigma_hat + 1e-9 >= bound * sigma_opt
         status = "PASS" if ok else "FAIL"
         print(f"bound[{name}] = {bound:.6f}  requires >= {bound * sigma_opt:.6f}  {status}")
@@ -278,7 +267,7 @@ def cmd_inspect_pgm(args) -> int:
     _check_method(cfg, METHOD_REASONER, net)
     outdir = args.outdir or doc.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
-    solution = _solve(net, METHOD_REASONER, budget, cfg)
+    solution = _guarded(METHOD_REASONER, solve, net, METHOD_REASONER, budget, cfg)
     written = []
     for t, model in enumerate(solution.models):
         path = os.path.join(outdir, f"pgm_{t}.json")

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .propagation import MCKP_COMBO_GUARD
 from .seeding import ProfitCostTable
 
 NEG_INF = float("-inf")
+PROFIT_TOL = 1e-9  # brute-force and table profits agree within this
 
 
 @dataclass
@@ -92,22 +94,22 @@ def solve_mckp(table: ProfitCostTable, budget: int) -> BudgetAllocationTable:
 
 
 def verify_allocation(alloc: BudgetAllocationTable, table: ProfitCostTable,
-                      budget: int, max_combos: int = 10 ** 6,
-                      tol: float = 1e-9) -> bool:
-    """Check feasibility and, when enumerable, optimality against brute force."""
+                      budget: int) -> bool:
+    """Check feasibility and, within MCKP_COMBO_GUARD choice vectors,
+    optimality against brute force."""
     if len(alloc.rows) != table.num_layers:
         return False
     for r in alloc.rows:
         if r.budget < 0 or r.budget >= len(table.rows[r.layer]):
             return False
-        if abs(table.rows[r.layer][r.budget].profit - r.profit) > tol:
+        if abs(table.rows[r.layer][r.budget].profit - r.profit) > PROFIT_TOL:
             return False
     if alloc.total_cost > budget:
         return False
 
     sizes = [len(layer_rows) for layer_rows in table.rows]
     combos = int(np.prod(sizes, dtype=np.float64))
-    if combos > max_combos:
+    if combos > MCKP_COMBO_GUARD:
         return True  # feasible; optimality not enumerable at this size
     best = NEG_INF
     for choice in itertools.product(*(range(s) for s in sizes)):
@@ -115,4 +117,4 @@ def verify_allocation(alloc: BudgetAllocationTable, table: ProfitCostTable,
             continue
         value = sum(table.rows[i][j].profit for i, j in enumerate(choice))
         best = max(best, value)
-    return abs(alloc.total_profit - best) <= tol
+    return abs(alloc.total_profit - best) <= PROFIT_TOL

@@ -355,10 +355,11 @@ def load_multiplex(path) -> MultiplexNetwork:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
-    k = n = None
+    k = n = header = None
     models: dict[int, str] = {}
+    model_line: dict[int, int] = {}
     members: list[tuple[int, int]] = []
-    thetas: list[tuple[int, int, float, int]] = []  # with line number
+    thetas: dict[tuple[int, int], tuple[float, int]] = {}  # -> (threshold, line)
     edges: dict[tuple[int, int, int], tuple[float | None, int]] = {}  # -> (value, line)
 
     for lineno, raw in enumerate(lines, start=1):
@@ -366,6 +367,9 @@ def load_multiplex(path) -> MultiplexNetwork:
         if not line:
             continue
         if line.startswith("#multiplex"):
+            if header is not None:
+                raise ParseError(lineno, f"repeated '#multiplex' header, first on line {header}")
+            header = lineno
             try:
                 parts = dict(tok.split("=") for tok in line.split()[1:])
                 k, n = int(parts.pop("k")), int(parts.pop("n"))
@@ -391,7 +395,10 @@ def load_multiplex(path) -> MultiplexNetwork:
                 if kind not in (IC, LT):
                     raise ParseError(lineno, f"unknown model {kind!r}")
                 _check_layer(lineno, lid, k)
-                models[lid] = kind
+                if lid in models:
+                    raise ParseError(lineno, f"repeated @model for layer {lid}, "
+                                     f"first on line {model_line[lid]}")
+                models[lid], model_line[lid] = kind, lineno
             elif toks[0] == "!member":
                 lid, v = int(toks[1]), int(toks[2])
                 _check_layer(lineno, lid, k)
@@ -403,7 +410,10 @@ def load_multiplex(path) -> MultiplexNetwork:
                 _check_node(lineno, v, n)
                 if not (0.0 <= z <= 1.0):
                     raise ParseError(lineno, f"threshold {z} outside [0, 1]")
-                thetas.append((lid, v, z, lineno))
+                if (lid, v) in thetas:
+                    raise ParseError(lineno, f"repeated @theta for node {v} of layer "
+                                     f"{lid}, first on line {thetas[lid, v][1]}")
+                thetas[lid, v] = (z, lineno)
             else:
                 lid, s, d = int(toks[0]), int(toks[1]), int(toks[2])
                 _check_layer(lineno, lid, k)
@@ -426,7 +436,7 @@ def load_multiplex(path) -> MultiplexNetwork:
             raise ParseError(lineno, "probability outside [0, 1]")
         if models.get(lid, IC) == LT and not (x is None or x >= 0.0):
             raise ParseError(lineno, f"LT weight must be >= 0, got {x}")
-    for lid, _, _, lineno in thetas:
+    for (lid, _), (_, lineno) in thetas.items():
         if models.get(lid, IC) != LT:
             raise ParseError(lineno, f"@theta on layer {lid}, which is not LT")
 
@@ -436,7 +446,7 @@ def load_multiplex(path) -> MultiplexNetwork:
     for lid, s, d in edges:
         member[lid, s] = True
         member[lid, d] = True
-    for lid, v, _, _ in thetas:
+    for lid, v in thetas:
         member[lid, v] = True
 
     layers = []
@@ -454,7 +464,7 @@ def load_multiplex(path) -> MultiplexNetwork:
         if kind == IC:
             layer = Layer(lid, IC, earr, probs=vals)
         else:
-            theta_mine = [(v, z) for (l, v, z, _) in thetas if l == lid]
+            theta_mine = [(v, z) for (l, v), (z, _) in thetas.items() if l == lid]
             thr = None
             if theta_mine:
                 # undeclared members get the hardest threshold rather than 0

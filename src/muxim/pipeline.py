@@ -21,7 +21,8 @@ import numpy as np
 from .knapsack import BudgetAllocationTable, solve_mckp
 from .network import MultiplexNetwork
 from .pgm import chow_liu_fit, pearson_matrix, variable_grouping
-from .propagation import (CascadeWorlds, GuardError, SpreadEstimate,
+from .propagation import (EXHAUSTIVE_NODE_GUARD, EXHAUSTIVE_SUBSET_GUARD,
+                          CascadeWorlds, GuardError, SpreadEstimate,
                           _layer_scope, estimate_spread, exact_worlds,
                           record_status_dataset)
 from .rewards import (CLAMP_01, CLAMP_RAW, ActivationModel, RewardContext,
@@ -85,9 +86,11 @@ class SolverConfig:
 class RatioCertificate:
     """Measured quantities next to the provable spread ratio bounds.
 
-    `bound_worst` assumes every overlap activation is wasted, `bound_best`
-    assumes none is, and `bound_general` interpolates through the measured
-    fraction beta of overlap activations that were repeats.
+    One formula, (1 - eps)(1 - 1/e) / ((k - 1) beta o + o + k), gives every
+    bound: beta = 1 assumes every overlap activation is wasted (the worst
+    case, (o + 1) k), beta = 0 that none is (the best case, o + k), and the
+    general bound takes the measured fraction beta of overlap activations
+    that were repeats.
     """
 
     o: int
@@ -98,30 +101,17 @@ class RatioCertificate:
     sigma_opt: float | None = None
 
     @staticmethod
-    def worst_bound(o: int, k: int, epsilon: float = 0.0) -> float:
-        return (1.0 - epsilon) * (1.0 - 1.0 / math.e) / ((o + 1) * k)
-
-    @staticmethod
-    def best_bound(o: int, k: int, epsilon: float = 0.0) -> float:
-        return (1.0 - epsilon) * (1.0 - 1.0 / math.e) / (k + o)
-
-    @staticmethod
-    def general_bound(o: int, k: int, beta: float, epsilon: float = 0.0) -> float:
+    def bound(o: int, k: int, beta: float, epsilon: float = 0.0) -> float:
         return (1.0 - epsilon) * (1.0 - 1.0 / math.e) / ((k - 1) * beta * o + o + k)
 
-    @property
-    def bound_worst(self) -> float:
-        return self.worst_bound(self.o, self.k, self.epsilon)
-
-    @property
-    def bound_best(self) -> float:
-        return self.best_bound(self.o, self.k, self.epsilon)
-
-    @property
-    def bound_general(self) -> float | None:
-        if self.beta is None:
-            return None
-        return self.general_bound(self.o, self.k, self.beta, self.epsilon)
+    def bounds(self) -> dict:
+        """{"worst", "best", "general"}; "general" is None without a beta."""
+        return {
+            "worst": self.bound(self.o, self.k, 1.0, self.epsilon),
+            "best": self.bound(self.o, self.k, 0.0, self.epsilon),
+            "general": None if self.beta is None
+            else self.bound(self.o, self.k, self.beta, self.epsilon),
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -131,11 +121,7 @@ class RatioCertificate:
             "beta": self.beta,
             "sigma_hat": self.sigma_hat,
             "sigma_opt": self.sigma_opt,
-            "bounds": {
-                "worst": self.bound_worst,
-                "best": self.bound_best,
-                "general": self.bound_general,
-            },
+            "bounds": self.bounds(),
         }
 
 
@@ -364,15 +350,20 @@ def measure_beta(per_layer_seeds: dict[int, list[int]], order: list[int],
     return float(repeated / total) if total > 0 else 0.0
 
 
-def exhaustive_optimum(net: MultiplexNetwork, budget: int,
-                       max_nodes: int = 14, max_subsets: int = 200000):
-    """Best exact spread over every seed set of size <= budget (guarded)."""
+def exhaustive_optimum(net: MultiplexNetwork, budget: int):
+    """Best exact spread over every seed set of size <= budget.
+
+    Guarded by EXHAUSTIVE_NODE_GUARD, EXHAUSTIVE_SUBSET_GUARD and the
+    guards of `exact_worlds`; each raises GuardError before any search.
+    """
     n = net.num_nodes
-    if n > max_nodes:
-        raise GuardError(f"{n} nodes exceed the exhaustive-search guard of {max_nodes}")
+    if n > EXHAUSTIVE_NODE_GUARD:
+        raise GuardError(f"{n} nodes exceed the exhaustive-search guard of "
+                         f"{EXHAUSTIVE_NODE_GUARD}")
     count = sum(math.comb(n, r) for r in range(min(budget, n) + 1))
-    if count > max_subsets:
-        raise GuardError(f"{count} candidate subsets exceed the guard of {max_subsets}")
+    if count > EXHAUSTIVE_SUBSET_GUARD:
+        raise GuardError(f"{count} candidate subsets exceed the guard of "
+                         f"{EXHAUSTIVE_SUBSET_GUARD}")
     worlds = exact_worlds(net)
     best_val, best_set = 0.0, ()
     for r in range(min(budget, n) + 1):

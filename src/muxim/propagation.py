@@ -28,7 +28,13 @@ import numpy as np
 
 from .network import IC, LT, LT_THRESHOLD_RANGE, MultiplexNetwork
 
+# Guards of the exact oracles: IC edges in a live-edge enumeration's scope,
+# identities and candidate subsets of exhaustive seed search, and choice
+# vectors of the knapsack brute force.
 EXACT_IC_EDGE_GUARD = 16
+EXHAUSTIVE_NODE_GUARD = 14
+EXHAUSTIVE_SUBSET_GUARD = 200000
+MCKP_COMBO_GUARD = 10 ** 6
 
 
 class GuardError(RuntimeError):
@@ -443,16 +449,6 @@ def per_layer_spread(obj, layer: int) -> float:
     raise TypeError("expected a CascadeTrace or SpreadEstimate")
 
 
-def _ic_edge_arrays(net, scope):
-    edges_p = []
-    for i in scope:
-        layer = net.layers[i]
-        if layer.model == IC and layer.num_edges:
-            for j in range(layer.num_edges):
-                edges_p.append((i, j, layer.probs[j]))
-    return edges_p
-
-
 def exact_worlds(net: MultiplexNetwork, layers=None) -> CascadeWorlds:
     """Probability-weighted enumeration of all IC live-edge worlds (guarded).
 
@@ -460,10 +456,13 @@ def exact_worlds(net: MultiplexNetwork, layers=None) -> CascadeWorlds:
     drive greedy selection or exhaustive search without re-enumerating.
     Guarded: at most EXACT_IC_EDGE_GUARD in-scope IC edges, and LT layers
     must carry fixed thresholds (their dynamics are then deterministic).
+    Bit b of world w is the liveness of the b-th in-scope IC edge, counting
+    the layers in scope order, so each layer's edges are one column slice.
     """
     scope = _layer_scope(net, layers)
-    ic_edges = _ic_edge_arrays(net, scope)
-    ne = len(ic_edges)
+    ic = [i for i in scope if net.layers[i].model == IC and net.layers[i].num_edges]
+    p = np.concatenate([net.layers[i].probs for i in ic]) if ic else np.empty(0)
+    ne = p.size
     if ne > EXACT_IC_EDGE_GUARD:
         raise GuardError(
             f"{ne} IC edges exceed the exact-enumeration guard of "
@@ -477,17 +476,13 @@ def exact_worlds(net: MultiplexNetwork, layers=None) -> CascadeWorlds:
     masks = np.arange(m, dtype=np.uint64)
     live_bits = np.zeros((m, ne), dtype=bool)
     probs = np.ones(m)
-    for b, (_, _, p) in enumerate(ic_edges):
+    for b in range(ne):
         bit = ((masks >> np.uint64(b)) & np.uint64(1)).astype(bool)
         live_bits[:, b] = bit
-        probs *= np.where(bit, p, 1.0 - p)
+        probs *= np.where(bit, p[b], 1.0 - p[b])
 
-    live_by_layer = {}
-    for i in scope:
-        layer = net.layers[i]
-        if layer.model == IC and layer.num_edges:
-            cols = [b for b, (li, _, _) in enumerate(ic_edges) if li == i]
-            live_by_layer[i] = live_bits[:, cols]
+    ends = np.cumsum([net.layers[i].num_edges for i in ic], dtype=np.int64)
+    live_by_layer = dict(zip(ic, np.split(live_bits, ends[:-1], axis=1)))
     return CascadeWorlds.from_live_matrix(net, live_by_layer, m, weights=probs)
 
 

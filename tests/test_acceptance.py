@@ -243,7 +243,7 @@ def test_criterion_8_worst_case_certificate():
         sol = run_reasoner(net, budget, cfg)
         sigma_hat = exact_spread(net, sol.union_seeds)
         sigma_opt, _ = exhaustive_optimum(net, budget)
-        bound = RatioCertificate.worst_bound(o, k, epsilon=0.0)
+        bound = RatioCertificate.bound(o, k, 1.0, epsilon=0.0)
         if sigma_hat < bound * sigma_opt - 1e-9:
             violations += 1
         checked += 1

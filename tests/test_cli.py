@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from muxim import cli
 from muxim.cli import main
 
 
@@ -195,6 +196,12 @@ THETA_ON_IC = "#multiplex k=1 n=3\n0 0 1 0.5\n@theta 0 2 0.3\n"
 # a threshold may come before the line that makes its layer LT
 THETA_BEFORE_MODEL = "#multiplex k=1 n=3\n@theta 0 2 0.3\n0 0 1 0.5\n@model 0 LT\n"
 HEADER_UNKNOWN_KEY = "#multiplex k=1 n=3 foo=9\n0 0 1 0.5\n"
+# a second header must not redefine k and n under edges already read
+REPEATED_HEADER = "#multiplex k=1 n=10\n0 0 9 0.5\n#multiplex k=1 n=3\n"
+REPEATED_MODEL = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 0.5\n@model 0 IC\n"
+REPEATED_THETA = "#multiplex k=1 n=3\n@model 0 LT\n0 0 1 0.5\n@theta 0 1 0.5\n@theta 0 1 0.7\n"
+# membership is idempotent
+REPEATED_MEMBER = "#multiplex k=1 n=3\n0 0 1 0.5\n!member 0 2\n!member 0 2\n"
 # the reasoner-ic5-alpha0 golden at seed 2: alpha 0 fits unsmoothed trees, and
 # after phase 1 a phase-2 cascade shows evidence one of them gives probability 0
 ALPHA0_ZERO_EVIDENCE = {
@@ -214,6 +221,11 @@ ALPHA0_ZERO_EVIDENCE = {
     ({}, [], THETA_ON_IC, 2, "line 3: @theta on layer 0, which is not LT"),
     ({}, [], THETA_BEFORE_MODEL, 0, None),
     ({}, [], HEADER_UNKNOWN_KEY, 2, "line 1: unknown header key 'foo'"),
+    ({}, [], REPEATED_HEADER, 2, "line 3: repeated '#multiplex' header, first on line 1"),
+    ({}, [], REPEATED_MODEL, 2, "line 4: repeated @model for layer 0, first on line 2"),
+    ({}, [], REPEATED_THETA, 2,
+     "line 5: repeated @theta for node 1 of layer 0, first on line 4"),
+    ({}, [], REPEATED_MEMBER, 0, None),
     ({}, [], BAD_PROB_FIRST, 2, "line 2: probability outside [0, 1]"),
     ({}, [], BAD_PROB_SECOND, 2, "line 4: probability outside [0, 1]"),
     ({}, [], EDGE_EXTRA_TOKEN, 2, "line 3:"),
@@ -257,7 +269,8 @@ ALPHA0_ZERO_EVIDENCE = {
     *[({"generator": {**GENERATOR, key: value}}, [], None, 2, key)
       for _, key, value in BAD_GENERATOR_FIELDS],
 ], ids=["benchmark-keys", "negative-lt-weight", "duplicate-edge", "self-loop",
-        "theta-on-ic", "theta-before-model", "header-unknown-key", "bad-prob-first",
+        "theta-on-ic", "theta-before-model", "header-unknown-key", "repeated-header",
+        "repeated-model", "repeated-theta", "repeated-member", "bad-prob-first",
         "bad-prob-second", "edge-extra-token", "edge-extra-junk", "model-extra-token",
         "member-extra-token", "theta-extra-token", "config-is-dir", "network-is-dir",
         "outdir-is-file", "reasoner-m-one", "ksn-m-one", "unknown-key",
@@ -291,7 +304,8 @@ def test_solve_exit_codes(tmp_path, capsys, doc, flags, network, code, error):
 
 
 @pytest.mark.parametrize("command, doc, code, error", [
-    ("verify", ALPHA0_ZERO_EVIDENCE, 3, "evidence has zero probability under the tree"),
+    # 58 identities: the exhaustive-search guard refuses it before the solve
+    ("verify", ALPHA0_ZERO_EVIDENCE, 3, "nodes exceed the exhaustive-search guard"),
     ("inspect-pgm", ALPHA0_ZERO_EVIDENCE, 3, "evidence has zero probability under the tree"),
     ("verify", {"generator": {**GENERATOR, "rng_sed": 5}}, 2, "rng_sed"),
     ("inspect-pgm", {"generator": {**GENERATOR, "rng_sed": 5}}, 2, "rng_sed"),
@@ -304,6 +318,34 @@ def test_verify_and_inspect_pgm_exit_codes(tmp_path, capsys, command, doc, code,
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert error in json.loads(captured.out.strip().splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["solve", "--exact"]])
+def test_exact_oracle_guards_refuse_before_solving(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args: calls.append(args))
+    outdir = tmp_path / "out"
+    code = main([*argv, "--config", write_config(tmp_path),  # 90 IC edges
+                 "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out.strip().splitlines()[-1])
+    assert "error" in out and out["method"] == "mim-reasoner"
+    assert calls == []
+    assert not outdir.exists()
+
+
+def test_verify_maps_solver_errors_to_exit_3(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args):
+        raise ValueError("solver refused")
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    cfg = write_config(tmp_path, generator={
+        "layer_node_counts": [5, 6], "total_edges": 10,
+        "overlap_percent": 0.5, "model_per_layer": ["IC", "IC"],
+        "rng_seed": 11}, budget=2, m=40)
+    assert main(["verify", "--config", cfg, "--method", "ksn"]) == 3
+    assert read_json(capsys) == {"error": "solver refused", "method": "ksn"}
 
 
 @pytest.mark.parametrize("command", ["inspect-pgm", "verify"])

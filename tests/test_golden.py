@@ -3,7 +3,8 @@
 Seven small generated configs together cover every method, IC, LT and mixed
 networks, refinement on and off, and candidate pruning on (`gamma` < 1) and
 off.  Two of them also pin the `muxim inspect-pgm` tree dumps, whose CPTs
-and per-edge MI no solution shows.  A change that is meant to alter
+and per-edge MI no solution shows, and one guarded instance pins the
+`muxim verify` report of every method.  A change that is meant to alter
 solutions rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,6 +12,8 @@ solutions rewrites the files with
 and says so; any other difference is a regression.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -64,11 +67,17 @@ CASES = {
 # cases whose fitted trees are pinned too: unsmoothed five-layer, mixed IC/LT
 PGM_CASES = ["reasoner-ic5-alpha0", "reasoner-mixed-refine"]
 
+# a two-layer instance inside every exact-oracle guard (8 identities, 10 IC
+# edges), whose `muxim verify` report is pinned for each method
+VERIFY_CONFIG = {"budget": 2, "m": 40, "seed": 5, "gamma": 1.0,
+                 "generator": _gen([5, 6], 10, ["IC", "IC"], 11)}
+VERIFY_METHODS = ["celf-single", "isf", "ksn", "mim-reasoner"]
 
-def _config(name, workdir):
+
+def _config(name, workdir, doc=None):
     config = os.path.join(workdir, f"{name}.config.json")
     with open(config, "w", encoding="utf-8") as fh:
-        json.dump(CASES[name], fh)
+        json.dump(CASES[name] if doc is None else doc, fh)
     return config
 
 
@@ -96,6 +105,15 @@ def inspect_case(name, workdir):
     return out
 
 
+def verify_case(method, workdir):
+    """Stdout of `muxim verify` with `method` on VERIFY_CONFIG."""
+    config = _config(f"verify-{method}", workdir, VERIFY_CONFIG)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--config", config, "--method", method]) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_solution(name, tmp_path, capsys):
     with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
@@ -114,6 +132,13 @@ def test_golden_pgm(name, tmp_path, capsys):
     assert inspect_case(name, str(tmp_path)) == want
 
 
+@pytest.mark.parametrize("method", VERIFY_METHODS)
+def test_golden_verify(method, tmp_path, capsys):
+    with open(os.path.join(GOLDEN_DIR, f"verify.{method}.txt"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert verify_case(method, str(tmp_path)) == want
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,3 +151,7 @@ if __name__ == "__main__":
                 with open(os.path.join(GOLDEN_DIR, fname), "w",
                           encoding="utf-8") as out:
                     out.write(text)
+        for method in VERIFY_METHODS:
+            with open(os.path.join(GOLDEN_DIR, f"verify.{method}.txt"), "w",
+                      encoding="utf-8") as out:
+                out.write(verify_case(method, tmp))

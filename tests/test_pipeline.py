@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,10 +43,10 @@ def test_processing_order_ascends_by_allocated_profit_then_layer(seed, budget):
 # -- certificates --------------------------------------------------------------
 
 def test_certificate_bound_formulas():
-    w = RatioCertificate.worst_bound(2, 3)
-    b = RatioCertificate.best_bound(2, 3)
-    g1 = RatioCertificate.general_bound(2, 3, 1.0)
-    g0 = RatioCertificate.general_bound(2, 3, 0.0)
+    bounds = RatioCertificate(o=2, k=3, epsilon=0.0, beta=None, sigma_hat=1.0).bounds()
+    w, b = bounds["worst"], bounds["best"]
+    g1 = RatioCertificate.bound(2, 3, 1.0)
+    g0 = RatioCertificate.bound(2, 3, 0.0)
     ratio = 1 - 1 / np.e
     assert w == pytest.approx(ratio / 9)
     assert b == pytest.approx(ratio / 5)
@@ -52,8 +54,41 @@ def test_certificate_bound_formulas():
     assert g0 == pytest.approx(b)
 
 
+# the three formulas RatioCertificate carried before `bound` replaced them
+def _old_worst_bound(o, k, epsilon=0.0):
+    return (1.0 - epsilon) * (1.0 - 1.0 / math.e) / ((o + 1) * k)
+
+
+def _old_best_bound(o, k, epsilon=0.0):
+    return (1.0 - epsilon) * (1.0 - 1.0 / math.e) / (k + o)
+
+
+def _old_general_bound(o, k, beta, epsilon=0.0):
+    return (1.0 - epsilon) * (1.0 - 1.0 / math.e) / ((k - 1) * beta * o + o + k)
+
+
+def test_one_bound_formula_keeps_the_bits_of_the_three(rng):
+    for o in range(61):
+        for k in range(1, 10):
+            for eps in (0.0, 0.1, 0.5):
+                worst, best = _old_worst_bound(o, k, eps), _old_best_bound(o, k, eps)
+                assert RatioCertificate.bound(o, k, 1.0, eps) == worst
+                assert RatioCertificate.bound(o, k, 1, eps) == worst
+                assert RatioCertificate.bound(o, k, 0.0, eps) == best
+                assert RatioCertificate.bound(o, k, 0, eps) == best
+                for beta in (0.0, 1.0, *rng.random(3).tolist()):
+                    assert RatioCertificate.bound(o, k, beta, eps) == \
+                        _old_general_bound(o, k, beta, eps)
+                    cert = RatioCertificate(o=o, k=k, epsilon=eps, beta=beta, sigma_hat=1.0)
+                    assert cert.bounds() == {
+                        "worst": worst, "best": best,
+                        "general": _old_general_bound(o, k, beta, eps)}
+                cert = RatioCertificate(o=o, k=k, epsilon=eps, beta=None, sigma_hat=1.0)
+                assert cert.bounds() == {"worst": worst, "best": best, "general": None}
+
+
 def test_certificate_single_layer_reduces_to_classic_ratio():
-    assert RatioCertificate.worst_bound(0, 1) == pytest.approx(1 - 1 / np.e)
+    assert RatioCertificate.bound(0, 1, 1.0) == pytest.approx(1 - 1 / np.e)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -62,8 +97,9 @@ def test_certificate_ordering(beta, rng):
         o = int(rng.integers(0, 50))
         k = int(rng.integers(1, 9))
         cert = RatioCertificate(o=o, k=k, epsilon=0.0, beta=beta, sigma_hat=1.0)
-        assert cert.bound_worst <= cert.bound_general + 1e-15
-        assert cert.bound_general <= cert.bound_best + 1e-15
+        bounds = cert.bounds()
+        assert bounds["worst"] <= bounds["general"] + 1e-15
+        assert bounds["general"] <= bounds["best"] + 1e-15
 
 
 # -- solvers -------------------------------------------------------------------
@@ -282,7 +318,7 @@ def test_worst_case_bound_on_guarded_instances(rng):
         sigma_hat = exact_spread(net, sol.union_seeds)
         sigma_opt, _ = exhaustive_optimum(net, 2)
         o, k = overlap_count(net), net.num_layers
-        assert sigma_hat >= RatioCertificate.worst_bound(o, k) * sigma_opt - 1e-9
+        assert sigma_hat >= RatioCertificate.bound(o, k, 1.0) * sigma_opt - 1e-9
 
 
 def test_exhaustive_optimum_guards():

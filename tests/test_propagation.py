@@ -378,6 +378,48 @@ def test_gains_batch_equals_single_gains(worlds, monkeypatch):
             assert whole[v] == pytest.approx(after - before, abs=1e-9)
 
 
+def _per_edge_exact_build(net, layers):
+    """World weights and per-layer live matrices as `exact_worlds` built them
+    edge by edge, before each layer's live columns became one slice."""
+    scope = sorted(set(range(net.num_layers) if layers is None else layers))
+    ic_edges = [(i, j, net.layers[i].probs[j]) for i in scope
+                if net.layers[i].model == IC for j in range(net.layers[i].num_edges)]
+    ne = len(ic_edges)
+    m = 1 << ne
+    masks = np.arange(m, dtype=np.uint64)
+    live_bits = np.zeros((m, ne), dtype=bool)
+    probs = np.ones(m)
+    for b, (_, _, p) in enumerate(ic_edges):
+        bit = ((masks >> np.uint64(b)) & np.uint64(1)).astype(bool)
+        live_bits[:, b] = bit
+        probs *= np.where(bit, p, 1.0 - p)
+    live = {}
+    for i in scope:
+        if net.layers[i].model == IC and net.layers[i].num_edges:
+            cols = [b for b, (li, _, _) in enumerate(ic_edges) if li == i]
+            live[i] = live_bits[:, cols]
+    return probs, live
+
+
+@pytest.mark.parametrize("models", [[IC], [LT], [IC, LT], [IC, LT, IC], [LT, IC, IC, LT]])
+def test_exact_worlds_keep_the_per_edge_bits(models):
+    rng = np.random.default_rng(300 + len(models))
+    k = len(models)
+    # singletons of LT layers, and [LT], are scopes without IC edges
+    scopes = [None] + [[i] for i in range(k)] + ([[k - 1, 0]] if k > 1 else [])
+    for _ in range(5):
+        net = random_multiplex(rng, models, True, edges_per_layer=(2, 6))
+        for layers in scopes:
+            weights, live = _per_edge_exact_build(net, layers)
+            worlds = exact_worlds(net, layers)
+            assert worlds.m == weights.size
+            assert worlds.weights.tobytes() == weights.tobytes()
+            assert sorted(worlds._live) == sorted(live)
+            for i, matrix in live.items():
+                assert worlds._live[i].shape == matrix.shape
+                assert np.array_equal(worlds._live[i], matrix)
+
+
 def _old_mean(worlds, values):
     """The world average every call site inlined before `CascadeWorlds.expect`."""
     if worlds.weights is not None:
